@@ -62,123 +62,28 @@ def write_report(name: str, lines: list[str]) -> Path:
     return path
 
 
-def _cell_fingerprint(config, workload, policy, max_time: float) -> str:
-    """Content fingerprint of one harness cell (see repro.perf.fingerprint).
-
-    Workload identity is its class plus all constructor-derived attributes
-    (every workload stores plain data), so resizing a grid cell or editing
-    a policy's Lua is a cache miss.
-    """
-    from dataclasses import asdict
-
-    from repro.core.policyfile import dump_policy
-    from repro.perf.fingerprint import experiment_fingerprint
-
-    payload = {
-        "config": asdict(config),
-        "workload": [type(workload).__name__,
-                     {key: value for key, value
-                      in sorted(vars(workload).items())}],
-        "policy": dump_policy(policy) if policy is not None else "",
-        "max_time": max_time,
-    }
-    return experiment_fingerprint("harness", payload)
-
-
-def _run_pending(pending, max_time: float):
-    """Run the uncached cells, sharing construction + prefixes via fork."""
-    from repro.cluster import SimulatedCluster, run_experiment
-    from repro.perf.warmstart import CellPlan, fork_supported, run_grid
-
-    if len(pending) <= 1 or not fork_supported():
-        return {name: run_experiment(config, workload_factory(),
-                                     policy=(policy_factory()
-                                             if policy_factory else None),
-                                     max_time=max_time)
-                for _index, name, config, workload_factory, policy_factory
-                in pending}
-
-    plans = []
-    for index, name, config, workload_factory, policy_factory in pending:
-        workload = workload_factory()
-        signature = workload.construction_signature()
-        construction_key = None
-        if signature is not None:
-            construction_key = (signature, config.dir_split_size,
-                                config.dir_split_bits,
-                                config.decay_half_life)
-        workload_id = tuple(sorted((key, repr(value)) for key, value
-                                   in vars(workload).items()))
-        prefix_key = (repr(config), type(workload).__name__,
-                      workload_id, max_time)
-        plans.append(CellPlan(
-            index=index, construction_key=construction_key,
-            prefix_key=prefix_key,
-            payload=(name, config, workload_factory, policy_factory)))
-
-    def construct(_ckey, group):
-        _name, config, workload_factory, _pf = group[0].payload
-        namespace = SimulatedCluster.build_namespace(config)
-        workload_factory().prepare(namespace)
-        return namespace
-
-    def warm_start(namespace, _pkey, group):
-        _name, config, workload_factory, _pf = group[0].payload
-        cluster = SimulatedCluster(config, namespace=namespace)
-        workload = workload_factory()
-        cluster.begin_workload(workload, max_time=max_time,
-                               skip_prepare=namespace is not None)
-        cluster.run_shared_prefix(workload.shared_prefix_end(config))
-        return cluster
-
-    def execute(cluster, plan):
-        name, _config, _wf, policy_factory = plan.payload
-        if policy_factory is not None:
-            cluster.set_policy(policy_factory())
-        return name, cluster.finish_workload()
-
-    return dict(run_grid(plans, construct=construct,
-                         warm_start=warm_start, execute=execute))
-
-
 def run_cells(cells, max_time: float = 36_000.0):
     """Run a named grid of benchmark cells: ``{name: SimReport}``.
 
     *cells* is a list of ``(name, config, workload_factory,
-    policy_factory-or-None)``.  Cells already in the result cache are
-    loaded instead of simulated; the rest run through the fork-based
-    warm-start server (shared namespace construction + shared
-    policy-independent simulation prefixes), falling back to plain
-    ``run_experiment`` where ``os.fork`` is unavailable.  Reports are
+    policy_factory-or-None)``.  They run through
+    :func:`repro.perf.run_cells` behind the result cache: cached cells
+    are loaded, the rest share namespace construction and
+    policy-independent simulation prefixes through forks.  Reports are
     byte-identical to cold runs either way.
     """
+    from repro import perf
     from repro.perf.cache import open_cache
 
     names = [cell[0] for cell in cells]
     if len(set(names)) != len(names):
         raise ValueError("cell names must be unique")
-    cache = open_cache()
-    keys = {}
-    reports = {}
-    pending = []
-    for index, (name, config, workload_factory, policy_factory) \
-            in enumerate(cells):
-        policy = policy_factory() if policy_factory else None
-        key = _cell_fingerprint(config, workload_factory(), policy,
-                                max_time)
-        keys[name] = key
-        cached = cache.get_object(key) if cache is not None else None
-        if cached is not None:
-            reports[name] = cached
-        else:
-            pending.append((index, name, config, workload_factory,
-                            policy_factory))
-    if pending:
-        for name, report in _run_pending(pending, max_time).items():
-            reports[name] = report
-            if cache is not None and report.heat is None:
-                cache.put_object(keys[name], report)
-    return {name: reports[name] for name in names}
+    reports = perf.run_cells(
+        [perf.Cell(config=config, workload=workload_factory,
+                   policy=policy_factory, max_time=max_time, name=name)
+         for name, config, workload_factory, policy_factory in cells],
+        cache=open_cache())
+    return dict(zip(names, reports))
 
 
 def speedup_pct(baseline: float, measured: float) -> float:

@@ -28,7 +28,7 @@ Quick start::
     print(report.summary_line())
 """
 
-from .cluster import SimReport, SimulatedCluster, run_experiment, run_seeds
+from .cluster import SimReport, SimulatedCluster, run_experiment
 from .config import ClusterConfig, ServiceTimes
 from .core import MantleBalancer, MantlePolicy, validate_policy
 
@@ -42,7 +42,6 @@ __all__ = [
     "SimReport",
     "SimulatedCluster",
     "run_experiment",
-    "run_seeds",
     "validate_policy",
     "__version__",
 ]

@@ -20,6 +20,7 @@ against the simulated cluster:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -306,7 +307,7 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .perf.cache import open_cache
     from .perf.sweep import (build_specs, format_report, normalize_policy,
-                             run_sweep_cached)
+                             run_sweep)
     seeds = _parse_seeds(args.seeds)
     policies = [part.strip() for part in args.policies.split(",")
                 if part.strip()]
@@ -329,12 +330,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     cache = open_cache(enabled=not args.no_cache)
-    records, hits, misses = run_sweep_cached(
-        specs, jobs=args.jobs, warm=not args.cold, cache=cache)
+    records = run_sweep(specs, jobs=args.jobs, warm=not args.cold,
+                        cache=cache)
     sys.stdout.write(format_report(records))
     # The footer goes to stderr: stdout stays byte-identical across
     # cold/warm/cached runs (the CI determinism check diffs stdout).
     if cache is not None:
+        hits, misses = cache.hits, cache.misses
         print(f"cache: {hits} hit{'s' if hits != 1 else ''}, "
               f"{misses} miss{'es' if misses != 1 else ''} "
               f"({cache.root})", file=sys.stderr)
@@ -351,8 +353,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "stats":
         stats = cache.stats()
         print(f"dir:     {stats['dir']}")
-        print(f"entries: {stats['entries']} "
-              f"({stats['records']} records, {stats['objects']} objects)")
+        print(f"entries: {stats['entries']}")
         print(f"bytes:   {stats['bytes']}")
         return 0
     if args.action == "clear":
@@ -573,7 +574,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at /dev/null so
+        # the interpreter's exit-time flush cannot raise again, and exit
+        # without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -575,17 +575,3 @@ def run_experiment(config: ClusterConfig, workload: Workload,
         report = cluster._report()
     return report
 
-
-def run_seeds(config: ClusterConfig, workload_factory, seeds,
-              policy_factory=None, max_time: float = 36_000.0
-              ) -> list[SimReport]:
-    """Run the same experiment across seeds (Fig 4's reproducibility view)."""
-    reports = []
-    for seed in seeds:
-        cfg = config.with_overrides(seed=int(seed))
-        policy = policy_factory() if policy_factory else None
-        reports.append(
-            run_experiment(cfg, workload_factory(), policy=policy,
-                           max_time=max_time)
-        )
-    return reports

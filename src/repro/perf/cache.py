@@ -1,23 +1,22 @@
 """Content-addressed result cache for experiment grids.
 
-Entries are keyed by :mod:`repro.perf.fingerprint` digests, so a hit is a
-proof that re-running the cell would reproduce the stored bytes: the key
-covers the simulator sources, interpreter/numpy versions, the resolved
-config, the policy *text* and the seed.  Editing any of those -- including
-one Lua line inside a policy -- changes the key and forces a cold run.
+Entries are keyed by :func:`repro.perf.fingerprint.cell_fingerprint`
+digests, so a hit is a proof that re-running the cell would reproduce the
+stored bytes: the key covers the simulator sources, interpreter/numpy
+versions, the resolved config, the workload, the policy *text* and the
+lifecycle arms.  Editing any of those -- including one Lua line inside a
+policy -- changes the key and forces a cold run.
 
-Storage is one file per entry under a flat directory (default
-``~/.cache/mantle-sim``, override with ``REPRO_CACHE_DIR``):
-
-* ``<key>.json``  -- sweep cell records (plain data; floats round-trip
-  exactly through ``repr``-based JSON, and ``per_mds_ops`` integer keys
-  are restored on load);
-* ``<key>.pkl``   -- pickled :class:`~repro.cluster.SimReport` objects
-  for the benchmark harness.
+Storage is one file per grid cell under a flat directory (default
+``~/.cache/mantle-sim``, override with ``REPRO_CACHE_DIR``): ``<key>.pkl``
+holds the sha256 of the payload followed by the pickled
+:class:`~repro.cluster.SimReport`.  An entry that is empty, truncated or
+bit-flipped fails the checksum (or the unpickle) and counts as a miss:
+it is unlinked and the cell re-runs.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or killed run
-can never leave a torn entry, and concurrent sweeps at worst both compute
-the same cell and race to an identical ``replace``.
+never leaves a torn entry, and concurrent grids at worst both compute the
+same cell and race to an identical ``replace``.
 
 ``REPRO_NO_CACHE=1`` (or ``--no-cache`` on the CLI) disables lookups and
 stores entirely; ``mantle-sim cache stats|clear`` inspects and resets the
@@ -26,7 +25,7 @@ store.
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 import pickle
 import tempfile
@@ -35,6 +34,8 @@ from typing import Any
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_DISABLE = "REPRO_NO_CACHE"
+_SUFFIX = ".pkl"
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def cache_disabled() -> bool:
@@ -57,18 +58,40 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    # -- storage ---------------------------------------------------------
-    def _path(self, key: str, suffix: str) -> Path:
+    def _path(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"cache keys are hex digests, got {key!r}")
-        return self.root / f"{key}{suffix}"
+        return self.root / f"{key}{_SUFFIX}"
 
-    def _store(self, path: Path, data: bytes) -> None:
+    def get(self, key: str) -> Any | None:
+        """The stored value, or None on a miss (absent or corrupt)."""
+        path = self._path(key)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            self.misses += 1
+            return None
+        body = memoryview(data)[_DIGEST_BYTES:]
+        try:
+            if hashlib.sha256(body).digest() != data[:_DIGEST_BYTES]:
+                raise ValueError("checksum mismatch")
+            value = pickle.loads(body)
+        except Exception:  # noqa: BLE001 - any bad entry is just a miss
+            path.unlink(missing_ok=True)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def put(self, key: str, value: Any) -> None:
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        path = self._path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(hashlib.sha256(body).digest())
+                handle.write(body)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -77,56 +100,17 @@ class ResultCache:
                 pass
             raise
 
-    def _load(self, path: Path) -> bytes | None:
-        try:
-            data = path.read_bytes()
-        except (FileNotFoundError, OSError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return data
-
-    # -- JSON records (sweep cells) --------------------------------------
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        data = self._load(self._path(key, ".json"))
-        if data is None:
-            return None
-        record = json.loads(data.decode())
-        # JSON stringifies dict keys; per_mds_ops is keyed by MDS rank.
-        if "per_mds_ops" in record:
-            record["per_mds_ops"] = {int(rank): ops for rank, ops
-                                     in record["per_mds_ops"].items()}
-        return record
-
-    def put_record(self, key: str, record: dict[str, Any]) -> None:
-        data = json.dumps(record, sort_keys=True).encode()
-        self._store(self._path(key, ".json"), data)
-
-    # -- pickled objects (harness SimReports) ----------------------------
-    def get_object(self, key: str) -> Any | None:
-        data = self._load(self._path(key, ".pkl"))
-        if data is None:
-            return None
-        return pickle.loads(data)
-
-    def put_object(self, key: str, value: Any) -> None:
-        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store(self._path(key, ".pkl"), data)
-
     # -- maintenance -----------------------------------------------------
     def entries(self) -> list[Path]:
         if not self.root.is_dir():
             return []
-        return sorted(p for p in self.root.iterdir()
-                      if p.suffix in (".json", ".pkl"))
+        return sorted(p for p in self.root.iterdir() if p.suffix == _SUFFIX)
 
     def stats(self) -> dict[str, Any]:
         entries = self.entries()
         return {
             "dir": str(self.root),
             "entries": len(entries),
-            "records": sum(1 for p in entries if p.suffix == ".json"),
-            "objects": sum(1 for p in entries if p.suffix == ".pkl"),
             "bytes": sum(p.stat().st_size for p in entries),
         }
 

@@ -10,7 +10,8 @@ simulation's output* is unchanged.  That closure is:
   contracts, not guarantees across majors);
 * the fast-path toggle (``repro.fastpath.ENABLED``) -- equivalence tests
   assert both paths agree, but the cache must not *assume* it;
-* the resolved experiment: config fields, workload shape, seed, and the
+* the resolved cell: config fields (seed included), workload class and
+  attributes, ``max_time``, lifecycle arms, the lint gate and the
   **policy text** (via :func:`repro.core.policyfile.dump_policy`), so
   editing a balancer policy -- even its Lua body -- is a cache miss.
 
@@ -23,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 from .. import fastpath
-from ..core.policies import STOCK_POLICIES
 from ..core.policyfile import dump_policy
 
 #: The package whose sources define the simulation's behaviour.
@@ -64,53 +65,55 @@ def sources_digest() -> str:
     return _sources_digest_cache
 
 
-def _canonical(payload: Any) -> bytes:
+def canonical(payload: Any) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=repr).encode()
 
 
-def policy_text(policy_name: str) -> str:
-    """The serialised policy file text for a stock policy name.
+def _policy_text(factory) -> str:
+    """The serialised policy file text a factory builds ("" for none).
 
-    This is the *content* of the policy, not its name: renaming a policy
-    without changing its Lua is a cache miss only through the name field,
-    but editing the Lua behind an unchanged name is a miss through here.
+    This is the *content* of the policy, not its name: editing the Lua
+    behind an unchanged name is a miss through here.
     """
-    if policy_name == "none":
-        return ""
-    return dump_policy(STOCK_POLICIES[policy_name]())
+    return dump_policy(factory()) if factory is not None else ""
 
 
-def experiment_fingerprint(kind: str, payload: dict[str, Any]) -> str:
-    """Fingerprint an arbitrary experiment description.
+def prefix_payload(cell, workload) -> dict[str, Any]:
+    """Everything that shapes a cell's run before its policy is consulted.
 
-    *kind* namespaces the cache (``"sweep"``, ``"harness"``, ...) so two
-    front-ends with coincidentally equal payloads cannot collide.
+    Workload identity is its class plus all constructor-derived attributes
+    (every workload stores plain data), so resizing a cell is a miss.
+    Cells with equal payloads share a warm-start prefix runner.
     """
+    return {
+        "config": asdict(cell.config),
+        "workload": [type(workload).__name__,
+                     dict(sorted(vars(workload).items()))],
+        "max_time": cell.max_time,
+    }
+
+
+def cell_fingerprint(cell) -> str:
+    """Fingerprint one grid cell (a :class:`repro.perf.grid.Cell`).
+
+    Covers the prefix payload (config, workload, ``max_time``), the live
+    policy text, the lifecycle arms (shadow/canary texts, ``canary_at``,
+    ``canary_window``) and the ``lint`` gate -- a lint-failing policy
+    errors with it and runs without it.  The stability guard is a config
+    field, so guarded and unguarded cells never alias either.
+    """
+    payload = prefix_payload(cell, cell.workload())
+    payload.update(
+        policy=_policy_text(cell.policy),
+        shadow=_policy_text(cell.shadow),
+        canary=_policy_text(cell.canary),
+        canary_at=cell.canary_at,
+        canary_window=cell.canary_window,
+        lint=cell.lint,
+    )
     hasher = hashlib.sha256()
     hasher.update(sources_digest().encode())
-    hasher.update(kind.encode())
-    hasher.update(b"\0")
-    hasher.update(_canonical(payload))
+    hasher.update(canonical(payload))
     hasher.update(f"fastpath={fastpath.ENABLED}".encode())
     return hasher.hexdigest()
-
-
-def spec_fingerprint(spec) -> str:
-    """Fingerprint one sweep cell (a ``RunSpec``).
-
-    ``asdict`` already folds in every RunSpec field -- including the
-    lifecycle configuration (``guard``, ``shadow_policy``,
-    ``canary_policy``, ``canary_at``, ``canary_window``) -- so a guarded
-    run and an unguarded run can never alias.  The shadow/canary policy
-    *texts* are added on top for the same reason the live policy's is:
-    editing a policy's Lua behind an unchanged name must be a miss.
-    """
-    from dataclasses import asdict
-    payload = asdict(spec)
-    payload["policy_text"] = policy_text(spec.policy)
-    payload["shadow_policy_text"] = policy_text(
-        getattr(spec, "shadow_policy", "none"))
-    payload["canary_policy_text"] = policy_text(
-        getattr(spec, "canary_policy", "none"))
-    return experiment_fingerprint("sweep", payload)

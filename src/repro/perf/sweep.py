@@ -1,22 +1,24 @@
-"""Parallel (seed x policy) sweep runner.
+"""The (seed x policy) sweep: ``mantle-sim sweep`` over the grid runner.
 
-Every sweep cell is one fully independent :func:`run_experiment` -- its own
-cluster, its own RNG streams seeded from the cell's seed -- so running
-cells in worker processes cannot change any cell's result.  The merged
-report is ordered by the spec list, never by completion time, which makes
-``--jobs N`` output byte-identical to ``--jobs 1``.
+A :class:`RunSpec` is plain data naming a stock policy and workload
+shape; :func:`run_sweep` maps each to a :class:`~repro.perf.grid.Cell`,
+runs them through :func:`~repro.perf.grid.run_cells` (cold or warm, any
+``jobs``, optionally cached) and reduces each report to a plain record.
+Every cell has its own cluster and RNG streams seeded from its seed, and
+reports come back in spec order, so records are byte-identical on every
+path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-from ..cluster import SimulatedCluster
 from ..config import ClusterConfig
 from ..core.policies import STOCK_POLICIES
 from ..workloads import CreateWorkload, ZipfWorkload
+from .grid import Cell, run_cells
 
 #: Friendly aliases: shell-safe underscore forms of the stock names.
 _POLICY_ALIASES = {
@@ -48,7 +50,7 @@ def normalize_policy(name: str) -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One sweep cell.  Plain data: it crosses process boundaries."""
+    """One sweep cell as plain data (see :func:`spec_cell`)."""
 
     seed: int
     policy: str  # normalized stock name or "none"
@@ -98,11 +100,7 @@ def _build_workload(spec: RunSpec):
 
 
 def spec_record(spec: RunSpec, report) -> dict[str, Any]:
-    """The plain-data record of one cell (picklable, JSON-able).
-
-    Shared by the cold and warm-start paths so both produce records that
-    compare (and serialize) byte-identically.
-    """
+    """The plain-data record of one cell (picklable, JSON-able)."""
     latency = report.latency_summary()
     canary_outcome = next(
         (event.kind.split("-", 1)[1]
@@ -137,84 +135,37 @@ def spec_record(spec: RunSpec, report) -> dict[str, Any]:
     }
 
 
-def arm_lifecycle(cluster: SimulatedCluster, spec: RunSpec) -> None:
-    """Arm a spec's shadow/canary on a freshly built cluster.
-
-    Shared by the cold path and the warm-start path: both must arm from
-    the same data so their records stay byte-identical.
-    """
-    if spec.shadow_policy != "none":
-        cluster.arm_shadow(STOCK_POLICIES[spec.shadow_policy]())
-    if spec.canary_policy != "none":
-        cluster.arm_canary(STOCK_POLICIES[spec.canary_policy](),
-                           at=spec.canary_at, window=spec.canary_window)
+def _stock(name: str):
+    return STOCK_POLICIES[name] if name != "none" else None
 
 
-def execute_spec(spec: RunSpec) -> dict[str, Any]:
-    """Run one cell cold; return its record."""
+def spec_cell(spec: RunSpec) -> Cell:
+    """The grid cell a spec describes."""
     config = ClusterConfig(num_mds=spec.num_mds,
                            num_clients=spec.num_clients,
                            seed=spec.seed,
                            dir_split_size=spec.dir_split_size,
                            heartbeat_interval=spec.heartbeat_interval,
                            stability_guard=spec.guard)
-    policy = (STOCK_POLICIES[spec.policy]()
-              if spec.policy != "none" else None)
-    cluster = SimulatedCluster(config, policy=policy,
-                               lint_policies=spec.lint)
-    arm_lifecycle(cluster, spec)
-    report = cluster.run_workload(_build_workload(spec),
-                                  max_time=spec.max_time)
-    return spec_record(spec, report)
+    return Cell(config=config, workload=partial(_build_workload, spec),
+                policy=_stock(spec.policy), max_time=spec.max_time,
+                shadow=_stock(spec.shadow_policy),
+                canary=_stock(spec.canary_policy),
+                canary_at=spec.canary_at, canary_window=spec.canary_window,
+                lint=spec.lint, name=f"seed={spec.seed} policy={spec.policy}")
 
 
-def run_sweep(specs: list[RunSpec], jobs: int = 1,
-              warm: bool = False) -> list[dict[str, Any]]:
-    """Run all cells; results come back in spec order regardless of *jobs*.
+def run_sweep(specs: list[RunSpec], jobs: int = 1, warm: bool = False,
+              cache=None) -> list[dict[str, Any]]:
+    """Run all cells; records come back in spec order on every path.
 
-    ``jobs <= 1`` runs serially in-process.  More jobs fan the cells over a
-    ``multiprocessing`` pool; ``Pool.map`` already returns results in input
-    order, so the merge is deterministic by construction.
-
-    ``warm=True`` routes the grid through the fork-based warm-start cell
-    server (:mod:`repro.perf.warmstart`): cells share namespace
-    construction and the policy-independent simulation prefix, with
-    byte-identical records.  Falls back to the cold path where ``os.fork``
-    is unavailable or the grid has a single cell.
+    ``warm`` shares construction and simulation prefixes through forks,
+    ``jobs`` bounds concurrent children, and a *cache*
+    (:class:`~repro.perf.cache.ResultCache`) skips cells already run.
     """
-    if warm and len(specs) > 1:
-        from .warmstart import fork_supported, run_sweep_forked
-        if fork_supported():
-            return run_sweep_forked(specs, jobs=jobs)
-    if jobs <= 1 or len(specs) <= 1:
-        return [execute_spec(spec) for spec in specs]
-    with multiprocessing.Pool(processes=min(jobs, len(specs))) as pool:
-        return pool.map(execute_spec, specs)
-
-
-def run_sweep_cached(specs: list[RunSpec], jobs: int = 1,
-                     warm: bool = False, cache=None
-                     ) -> tuple[list[dict[str, Any]], int, int]:
-    """``run_sweep`` behind the content-addressed result cache.
-
-    Returns ``(records, hits, misses)``.  Cells whose fingerprint (sources
-    + config + policy text + seed, see :mod:`repro.perf.fingerprint`) has
-    a stored record skip simulation entirely; the rest run through
-    ``run_sweep`` (warm or cold) and are stored for next time.  With
-    *cache* None (disabled) every cell is a miss and nothing is stored.
-    """
-    if cache is None:
-        return run_sweep(specs, jobs=jobs, warm=warm), 0, len(specs)
-    from .fingerprint import spec_fingerprint
-    keys = [spec_fingerprint(spec) for spec in specs]
-    records: list[dict[str, Any] | None] = [cache.get_record(key)
-                                            for key in keys]
-    missing = [i for i, record in enumerate(records) if record is None]
-    fresh = run_sweep([specs[i] for i in missing], jobs=jobs, warm=warm)
-    for i, record in zip(missing, fresh):
-        cache.put_record(keys[i], record)
-        records[i] = record
-    return records, len(specs) - len(missing), len(missing)
+    reports = run_cells([spec_cell(spec) for spec in specs], jobs=jobs,
+                        warm=warm, cache=cache)
+    return [spec_record(spec, report) for spec, report in zip(specs, reports)]
 
 
 def format_report(records: list[dict[str, Any]]) -> str:

@@ -24,8 +24,9 @@ The split run executes exactly the same event sequence as a cold run (see
 ``SimEngine.run_before``), so results are byte-identical -- the repo's
 hard rule; ``tests/integration/test_warmstart_equivalence.py`` asserts it.
 
-On platforms without ``os.fork`` (or for single-cell grids) callers fall
-back to the cold path; ``fork_supported()`` is the gate.
+:func:`repro.perf.grid.run_cells` is the front-end; on platforms without
+``os.fork`` (or for single-cell grids) it runs cells serially in-process,
+and ``fork_supported()`` is the gate.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ import select
 import signal
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator
-
-from ..cluster import SimulatedCluster
-from ..config import ClusterConfig
-from ..core.policies import STOCK_POLICIES
 
 
 def fork_supported() -> bool:
     """True where the fork-based cell server can run."""
     return hasattr(os, "fork") and sys.platform != "win32"
+
+
+class CellError(RuntimeError):
+    """A grid cell failed in a forked child; the message names the cell."""
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -74,27 +75,28 @@ class _ForkPool:
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
 
-    def run(self, tasks: Iterable[tuple[Hashable, Callable[[], Any]]]
+    def run(self, tasks: Iterable[tuple[Hashable, str, Callable[[], Any]]]
             ) -> dict[Hashable, Any]:
-        """Run all (key, thunk) tasks; returns {key: result}.
+        """Run all (key, label, thunk) tasks; returns {key: result}.
 
-        *tasks* may be a lazy iterator: the next task is only pulled when
-        a worker slot frees up, which lets callers defer expensive
-        per-group construction until it is actually needed.
+        *label* names the task in errors.  *tasks* may be a lazy iterator:
+        the next task is only pulled when a worker slot frees up, which
+        lets callers defer expensive per-group construction until it is
+        actually needed.
         """
         results: dict[Hashable, Any] = {}
-        queue: Iterator[tuple[Hashable, Callable[[], Any]]] = iter(tasks)
-        live: dict[int, list] = {}  # read fd -> [pid, key, buffer]
+        queue = iter(tasks)
+        live: dict[int, list] = {}  # read fd -> [pid, key, label, buffer]
         exhausted = False
         try:
             while True:
                 while not exhausted and len(live) < self.jobs:
                     try:
-                        key, thunk = next(queue)
+                        key, label, thunk = next(queue)
                     except StopIteration:
                         exhausted = True
                         break
-                    live.update((self._spawn(key, thunk),))
+                    live.update((self._spawn(key, label, thunk),))
                     del thunk  # parent drops its reference (frees ctx)
                 if not live:
                     if exhausted:
@@ -104,53 +106,54 @@ class _ForkPool:
                 for fd in ready:
                     chunk = os.read(fd, 1 << 16)
                     if chunk:
-                        live[fd][2] += chunk
+                        live[fd][3] += chunk
                         continue
-                    pid, key, buffer = live.pop(fd)
+                    pid, key, label, buffer = live.pop(fd)
                     os.close(fd)
                     os.waitpid(pid, 0)
-                    results[key] = self._decode(key, bytes(buffer))
+                    results[key] = self._decode(label, buffer)
         except BaseException:
             self._reap(live)
             raise
 
-    def _spawn(self, key: Hashable,
+    def _spawn(self, key: Hashable, label: str,
                thunk: Callable[[], Any]) -> tuple[int, list]:
         read_fd, write_fd = os.pipe()
         sys.stdout.flush()
         sys.stderr.flush()
         pid = os.fork()
-        if pid == 0:  # child
-            os.close(read_fd)
-            status = 0
+        if pid == 0:  # child: never returns into the caller's stack
+            status = 1
             try:
-                payload = pickle.dumps(("ok", thunk()),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            except BaseException:  # noqa: BLE001 - report, do not unwind
-                payload = pickle.dumps(("err", traceback.format_exc()))
-                status = 1
-            try:
+                os.close(read_fd)
+                try:
+                    payload = pickle.dumps(("ok", thunk()),
+                                           protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except BaseException as exc:  # noqa: BLE001 - report it
+                    # A nested CellError already names its cell: pass it on.
+                    message = (str(exc) if isinstance(exc, CellError) else
+                               f"{label} failed:\n{traceback.format_exc()}")
+                    payload = pickle.dumps(("err", message))
+                # A parent that gave up on the grid has closed its end.
                 _write_all(write_fd, payload)
             finally:
-                os.close(write_fd)
-            os._exit(status)
+                os._exit(status)
         os.close(write_fd)
-        return read_fd, [pid, key, bytearray()]
+        return read_fd, [pid, key, label, bytearray()]
 
     @staticmethod
-    def _decode(key: Hashable, buffer: bytes) -> Any:
+    def _decode(label: str, buffer: bytearray) -> Any:
         if not buffer:
-            raise RuntimeError(f"warm-start child for {key!r} died "
-                               "without sending a result")
+            raise CellError(f"{label} died without sending a result")
         status, value = pickle.loads(buffer)
         if status == "err":
-            raise RuntimeError(
-                f"warm-start child for {key!r} failed:\n{value}")
+            raise CellError(value)
         return value
 
     @staticmethod
     def _reap(live: dict[int, list]) -> None:
-        for fd, (pid, _key, _buffer) in live.items():
+        for fd, (pid, *_rest) in live.items():
             try:
                 os.close(fd)
             except OSError:
@@ -166,17 +169,23 @@ class _ForkPool:
 # Grid orchestration.
 # ---------------------------------------------------------------------------
 
+@dataclass
 class CellPlan:
-    """One grid cell: grouping keys plus an opaque payload for callbacks."""
+    """One grid cell: grouping keys plus an opaque payload for callbacks.
 
-    __slots__ = ("index", "construction_key", "prefix_key", "payload")
+    *name* labels the cell in errors raised from its forked child.
+    """
 
-    def __init__(self, index: int, construction_key: Hashable | None,
-                 prefix_key: Hashable, payload: Any) -> None:
-        self.index = index
-        self.construction_key = construction_key
-        self.prefix_key = prefix_key
-        self.payload = payload
+    index: int
+    construction_key: Hashable | None
+    prefix_key: Hashable
+    payload: Any
+    name: str = ""
+
+
+def _label(plans: list[CellPlan]) -> str:
+    names = ", ".join(repr(plan.name or f"#{plan.index}") for plan in plans)
+    return f"grid cell{'s' if len(plans) > 1 else ''} {names}"
 
 
 def run_grid(plans: list[CellPlan], *,
@@ -194,10 +203,11 @@ def run_grid(plans: list[CellPlan], *,
       a forked *runner*; returns the shared cell state (e.g. a cluster
       advanced to the fork barrier).
     * ``execute(state, plan)`` runs once per cell, in a fork of its
-      runner, and returns a picklable record.
+      runner, and returns a picklable result.
 
     Results come back ordered by ``plan.index`` position in *plans*,
-    regardless of completion order or *jobs*.
+    regardless of completion order or *jobs*.  A failure in a child
+    raises :class:`CellError` naming the cell(s) it was running.
     """
     if not fork_supported():
         raise RuntimeError("run_grid requires os.fork; use the cold path")
@@ -212,7 +222,7 @@ def run_grid(plans: list[CellPlan], *,
 
     pool = _ForkPool(jobs)
 
-    def runner_tasks() -> Iterator[tuple[Hashable, Callable[[], Any]]]:
+    def runner_tasks() -> Iterator[tuple[Hashable, str, Callable[[], Any]]]:
         for ckey, prefix_groups in groups.items():
             shared = not (isinstance(ckey, tuple) and ckey
                           and ckey[0] == "__private__")
@@ -229,89 +239,13 @@ def run_grid(plans: list[CellPlan], *,
                         return {plan.index: execute(state, plan)}
                     inner = _ForkPool(jobs)
                     return inner.run(
-                        (plan.index, lambda plan=plan: execute(state, plan))
+                        (plan.index, _label([plan]),
+                         lambda plan=plan: execute(state, plan))
                         for plan in cell_plans
                     )
-                yield (pkey, run_one_group)
+                yield (pkey, _label(cell_plans), run_one_group)
 
     merged: dict[int, Any] = {}
     for group_result in pool.run(runner_tasks()).values():
         merged.update(group_result)
     return [merged[plan.index] for plan in plans]
-
-
-# ---------------------------------------------------------------------------
-# The sweep front-end: (seed x policy) RunSpec grids.
-# ---------------------------------------------------------------------------
-
-def _spec_config(spec) -> ClusterConfig:
-    """The exact ClusterConfig ``execute_spec`` builds for *spec*."""
-    return ClusterConfig(num_mds=spec.num_mds,
-                         num_clients=spec.num_clients,
-                         seed=spec.seed,
-                         dir_split_size=spec.dir_split_size,
-                         heartbeat_interval=spec.heartbeat_interval,
-                         stability_guard=spec.guard)
-
-
-def sweep_plans(specs: list) -> list[CellPlan]:
-    """CellPlans for RunSpecs: construction by workload signature +
-    namespace shape; prefix by everything except the policy."""
-    from .sweep import _build_workload
-
-    plans = []
-    for index, spec in enumerate(specs):
-        signature = _build_workload(spec).construction_signature()
-        config = _spec_config(spec)
-        construction_key = None
-        if signature is not None:
-            construction_key = (signature, config.dir_split_size,
-                                config.dir_split_bits,
-                                config.decay_half_life)
-        plans.append(CellPlan(
-            index=index,
-            construction_key=construction_key,
-            # The prefix is policy-independent, and shadow/canary arming
-            # happens post-barrier in `execute`, so cells differing only in
-            # those share a prefix runner.  `guard` stays in the key: it
-            # changes cluster construction itself.
-            prefix_key=replace(spec, policy="none", shadow_policy="none",
-                               canary_policy="none", canary_at=30.0,
-                               canary_window=20.0),
-            payload=spec,
-        ))
-    return plans
-
-
-def run_sweep_forked(specs: list, jobs: int = 1) -> list[dict[str, Any]]:
-    """Warm-start replacement for ``run_sweep``: byte-identical records,
-    shared construction and simulation prefixes."""
-    from .sweep import _build_workload, arm_lifecycle, spec_record
-
-    def construct(_ckey, plans: list[CellPlan]):
-        spec = plans[0].payload
-        namespace = SimulatedCluster.build_namespace(_spec_config(spec))
-        _build_workload(spec).prepare(namespace)
-        return namespace
-
-    def warm_start(namespace, _pkey, plans: list[CellPlan]):
-        spec = plans[0].payload
-        config = _spec_config(spec)
-        cluster = SimulatedCluster(config, namespace=namespace)
-        workload = _build_workload(spec)
-        cluster.begin_workload(workload, max_time=spec.max_time,
-                               skip_prepare=namespace is not None)
-        cluster.run_shared_prefix(workload.shared_prefix_end(config))
-        return cluster
-
-    def execute(cluster: SimulatedCluster, plan: CellPlan):
-        spec = plan.payload
-        if spec.policy != "none":
-            cluster.set_policy(STOCK_POLICIES[spec.policy](),
-                               lint=spec.lint)
-        arm_lifecycle(cluster, spec)
-        report = cluster.finish_workload()
-        return spec_record(spec, report)
-
-    return run_grid(sweep_plans(specs), construct=construct,
-                    warm_start=warm_start, execute=execute, jobs=jobs)

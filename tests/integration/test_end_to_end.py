@@ -7,7 +7,7 @@ few simulated seconds each.
 
 import pytest
 
-from repro import SimulatedCluster, run_experiment, run_seeds
+from repro import SimulatedCluster, run_experiment
 from repro.core.api import MantlePolicy
 from repro.core.policies import (
     adaptable_policy,
@@ -94,16 +94,6 @@ class TestDeterminism:
 
         a, b = run_with(1), run_with(2)
         assert a.makespan != b.makespan
-
-    def test_run_seeds_helper(self):
-        reports = run_seeds(
-            make_config(num_mds=1),
-            lambda: CreateWorkload(num_clients=1, files_per_client=200),
-            seeds=(5, 6),
-        )
-        assert len(reports) == 2
-        assert reports[0].config.seed == 5
-        assert reports[1].config.seed == 6
 
 
 class TestPolicyIntegration:

@@ -21,8 +21,8 @@ from repro.cluster import SimulatedCluster
 from repro.core.api import MantlePolicy
 from repro.core.policies import STOCK_POLICIES, greedy_spill_policy
 from repro.perf.cache import ResultCache
-from repro.perf.fingerprint import spec_fingerprint
-from repro.perf.sweep import RunSpec, run_sweep, run_sweep_cached
+from repro.perf.fingerprint import cell_fingerprint
+from repro.perf.sweep import RunSpec, run_sweep, spec_cell
 from repro.perf.warmstart import fork_supported
 from repro.workloads import CreateWorkload
 from tests.conftest import make_config
@@ -66,8 +66,8 @@ def broken_factory():
 def broken_stock(monkeypatch):
     """A deliberately-broken stock policy for canary candidates.
 
-    Sweep specs name policies; ``fork``-based workers (warm-start runners
-    and the multiprocessing pool on Linux) inherit the patched registry.
+    Sweep specs name policies; ``run_sweep`` resolves the names when it
+    builds its cells, so every execution path sees the patched registry.
     """
     monkeypatch.setitem(STOCK_POLICIES, "always-broken", broken_factory)
 
@@ -121,7 +121,7 @@ class TestLifecycleFingerprints:
     BASE = RunSpec(seed=1, policy="greedy-spill")
 
     def test_every_lifecycle_knob_changes_the_fingerprint(self):
-        base_fp = spec_fingerprint(self.BASE)
+        base_fp = cell_fingerprint(spec_cell(self.BASE))
         variants = [
             replace(self.BASE, guard=True),
             replace(self.BASE, shadow_policy="fill-and-spill"),
@@ -129,7 +129,8 @@ class TestLifecycleFingerprints:
             replace(self.BASE, canary_at=31.0),
             replace(self.BASE, canary_window=21.0),
         ]
-        fingerprints = {spec_fingerprint(variant) for variant in variants}
+        fingerprints = {cell_fingerprint(spec_cell(variant))
+                        for variant in variants}
         assert base_fp not in fingerprints
         assert len(fingerprints) == len(variants)
 
@@ -137,13 +138,13 @@ class TestLifecycleFingerprints:
         cache = ResultCache(root=tmp_path)
         spec = RunSpec(seed=2, policy="greedy-spill", num_clients=2,
                        files_per_client=2000, dir_split_size=400)
-        _, hits, misses = run_sweep_cached([spec], cache=cache)
-        assert (hits, misses) == (0, 1)
+        run_sweep([spec], cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
         # Same cell again: a hit.
-        _, hits, misses = run_sweep_cached([spec], cache=cache)
-        assert (hits, misses) == (1, 0)
+        run_sweep([spec], cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
         # The guarded variant must miss (and re-simulate), not alias.
         guarded = replace(spec, guard=True)
-        records, hits, misses = run_sweep_cached([guarded], cache=cache)
-        assert (hits, misses) == (0, 1)
+        records = run_sweep([guarded], cache=cache)
+        assert (cache.hits, cache.misses) == (1, 2)
         assert records[0]["summary"]

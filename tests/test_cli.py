@@ -74,3 +74,34 @@ class TestRun:
         code = main(["run", "--workload", "zipf", "--mds", "1",
                      "--clients", "1", "--files", "200", "--ops", "300"])
         assert code == 0
+
+
+class TestClosedPipe:
+    """``mantle-sim run ... | head -1`` exits quietly, with no traceback."""
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_closed_stdout_exits_quietly(self, lines_read):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "run", "--mds", "2",
+             "--clients", "2", "--files", "2000", "--decisions"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"[none]")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        status = proc.wait(timeout=120)
+        assert stderr == ""
+        # Having read a line, the writer may already have finished.
+        assert status == 1 or (lines_read and status == 0)
