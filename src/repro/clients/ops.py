@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
+from ..namespace.tree import split_parent
+
 
 class OpKind(str, Enum):
     """The namespace operations the simulated clients issue."""
@@ -46,6 +48,18 @@ COUNTER_KIND = {
 _REQ_IDS = itertools.count(1)
 
 
+def split_request(kind: OpKind, path: str) -> tuple[str, str]:
+    """``(directory, leaf)`` a request on *path* routes on.
+
+    A READDIR targets the directory itself (leaf ``""``); every other op
+    targets the leaf's parent directory, normalized and absolute
+    (``("/", "")`` for the root itself).
+    """
+    if kind is OpKind.READDIR:
+        return path.rstrip("/") or "/", ""
+    return split_parent(path)
+
+
 @dataclass(slots=True)
 class MetaRequest:
     """One client metadata request as it travels through the cluster."""
@@ -58,6 +72,14 @@ class MetaRequest:
     hops: list[int] = field(default_factory=list)
     issued_at: float = 0.0
     payload: dict[str, Any] = field(default_factory=dict)
+    #: ``split_request(kind, path)``, split once when the request is built;
+    #: None until then (the MDS splits requests built without it).
+    dir_path: Optional[str] = None
+    leaf: str = ""
+    #: The MDS's memoized resolution: ``(tree epoch, auth epoch, parent,
+    #: leaf, frag)``, reused while both epochs hold (see
+    #: ``MdsServer._resolve``).
+    resolution: Optional[tuple] = None
 
     @property
     def forwards(self) -> int:

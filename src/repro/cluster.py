@@ -15,7 +15,7 @@ from typing import Optional
 
 from .analysis import DEFAULT_LINT_RANKS, LintReport, PolicyLintError, \
     lint_policy
-from .clients.client import Client, build_clients
+from .clients.client import Client, ReplyTap, build_clients
 from .config import ClusterConfig
 from .core.api import MantlePolicy
 from .core.balancer import BalanceDecision, MantleBalancer
@@ -258,6 +258,9 @@ class SimulatedCluster:
         if policy is not None:
             self.set_policy(policy)
         self.clients: list[Client] = []
+        #: Handed to this cluster's clients when a workload begins; sees
+        #: every reply (``metrics.tracing.record_run`` records through it).
+        self.reply_tap: Optional[ReplyTap] = None
         self.heat: Optional[HeatSampler] = None
         if heat_sampling:
             self.heat = HeatSampler(self.engine, self.namespace,
@@ -436,6 +439,7 @@ class SimulatedCluster:
             pipeline=self.config.client_pipeline,
             think_time=self.config.client_think_time,
             cap_switch_time=self.config.cap_switch_time,
+            reply_tap=self.reply_tap,
         )
         for mds in self.mdss:
             mds.start_heartbeats()

@@ -12,12 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
-                           OpKind)
+                           OpKind, split_request)
 from ..config import ClusterConfig
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
 from ..namespace.counters import LoadCounters
 from ..namespace.directory import Directory
-from ..namespace.tree import Namespace, parent_and_leaf
+from ..namespace.dirfrag import _AUTH_EPOCH, DirFrag
+from ..namespace.tree import Namespace
 from ..rados.cluster import RadosCluster
 from ..rados.journal import MdsJournal
 from ..sim.engine import Completion, SimEngine
@@ -144,11 +145,8 @@ class MdsServer:
         requests cost the op's service time, inflated by the coherency
         surcharge when the target directory is spread over several ranks.
         """
-        resolved = self._resolve(req)
-        if resolved is None:
-            return self._forward_service.sample(self.rng)
-        parent, _leaf, frag = resolved
-        if frag is not None and frag.authority() != self.rank:
+        _tree, _auth, parent, _leaf, frag = self._resolve(req)
+        if parent is None or frag.authority() != self.rank:
             return self._forward_service.sample(self.rng)
         base = self._service[req.kind].sample(self.rng)
         if req.kind is OpKind.READDIR:
@@ -160,26 +158,43 @@ class MdsServer:
             base *= 1.0 + self.config.sync_penalty * (spread - 1.0) ** 0.5
         return base
 
-    @staticmethod
-    def _effective_spread(directory: Directory) -> float:
-        """Effective number of ranks sharing this directory's dirfrags
-        (inverse participation ratio; cached per authority epoch)."""
-        return directory.effective_spread()
+    def _resolve(self, req: MetaRequest) -> tuple:
+        """The request's resolution, ``(tree epoch, auth epoch, parent
+        directory, leaf name, dirfrag)``.
 
-    def _resolve(self, req: MetaRequest):
-        """(parent directory, leaf name, dirfrag) for the request, or None."""
+        The leaf is None for a READDIR or the root, and the frag then is
+        the directory's first; parent, leaf and frag are all None when the
+        path does not resolve.  The resolution is memoized on the request
+        and reused -- at arrival, at execution, on forwarded hops -- while
+        both epochs hold: the namespace's tree epoch moves whenever a
+        directory is made, removed or renamed, and the global auth epoch
+        whenever any authority or frag layout changes (``fragment()``
+        re-auths the children it makes).  ``frozen`` is not part of it and
+        is always read live.
+        """
+        namespace = self.namespace
+        memo = req.resolution
+        if (memo is not None and memo[0] == namespace.tree_epoch
+                and memo[1] == _AUTH_EPOCH[0]):
+            return memo
+        dir_path = req.dir_path
+        if dir_path is None:
+            # Built without the client-side split (tests, tools).
+            dir_path, req.leaf = split_request(req.kind, req.path)
+            req.dir_path = dir_path
         try:
-            if req.kind is OpKind.READDIR:
-                directory = self.namespace.resolve_dir(req.path)
-                return directory, None, next(iter(directory.frags.values()))
-            split = parent_and_leaf(req.path)
-            if split is None:
-                directory = self.namespace.root
-                return directory, None, next(iter(directory.frags.values()))
-            parent = self.namespace.resolve_dir(split[0])
-            return parent, split[1], parent.frag_for_name(split[1])
+            parent = namespace.resolve_dir(dir_path)
         except (FileNotFoundError, NotADirectoryError):
-            return None
+            memo = (namespace.tree_epoch, _AUTH_EPOCH[0], None, None, None)
+        else:
+            leaf = req.leaf
+            if leaf:
+                frag = parent.frag_for_name(leaf)
+            else:
+                leaf, frag = None, next(iter(parent.frags.values()))
+            memo = (namespace.tree_epoch, _AUTH_EPOCH[0], parent, leaf, frag)
+        req.resolution = memo
+        return memo
 
     def _execute(self, task) -> None:
         req, done = task
@@ -187,30 +202,32 @@ class MdsServer:
             # Internal work (fragmentation, session flushes): the CPU time
             # was the point; there is nothing to apply.
             return
-        resolved = self._resolve(req)
-        if resolved is None:
+        resolution = self._resolve(req)
+        frag = resolution[4]
+        if frag is None:
             self._reply(req, done, error="ENOENT")
             return
-        parent, leaf, frag = resolved
-        if frag is not None and frag.frozen:
+        if frag.frozen:
             # Unit mid-migration: stall and retry (requests queue behind the
             # two-phase commit, which is the freeze cost clients observe).
             self.engine.schedule(
                 FREEZE_RETRY_DELAY, self.receive_request, req, done, False
             )
             return
-        auth = frag.authority() if frag is not None else self.rank
+        auth = frag.authority()
         self.all_load.hit(COUNTER_KIND[req.kind], self.engine.now)
         if auth != self.rank and len(req.hops) < MAX_HOPS:
             self.metrics.forwards += 1
             self.network.deliver(self.peers[auth].receive_request, req, done)
             return
         self.metrics.traversal_hits += 1
-        self._serve(req, done, parent, leaf)
+        self._serve(req, done, resolution)
 
     # -- local service ---------------------------------------------------
     def _serve(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str]) -> None:
+               resolution: tuple) -> None:
+        """Serve *req* locally; *resolution* is ``_resolve(req)``."""
+        _tree, _auth, parent, leaf, frag = resolution
         now = self.engine.now
         rank = self.rank
         self.sessions.record_request(req.client_id, parent.path(), now)
@@ -237,17 +254,17 @@ class MdsServer:
             # Authoritative directory object not in memory: fetch it from
             # RADOS, then apply.
             self.metrics.fetches += 1
-            self.namespace.record_hit(parent, leaf, "FETCH", now)
+            self.namespace.record_hit(parent, leaf, "FETCH", now, frag=frag)
             obj = f"dir.{parent.inode.ino}"
             fetched = self.rados.read(obj, self.config.dir_object_bytes)
             fetched.add_callback(
-                lambda _c: self._apply(req, done, parent, leaf)
+                lambda _c: self._apply(req, done, resolution)
             )
             return
         if delay > 0:
-            self.engine.schedule(delay, self._apply, req, done, parent, leaf)
+            self.engine.schedule(delay, self._apply, req, done, resolution)
             return
-        self._apply(req, done, parent, leaf)
+        self._apply(req, done, resolution)
 
     def _touch_cache(self, directory: Directory) -> tuple[bool, int]:
         """Touch the path prefix in the cache.
@@ -312,13 +329,25 @@ class MdsServer:
             node = node.parent
 
     def _apply(self, req: MetaRequest, done: Completion,
-               parent: Directory, leaf: Optional[str]) -> None:
+               resolution: tuple) -> None:
+        tree_epoch, auth_epoch, parent, leaf, frag = resolution
+        if auth_epoch != _AUTH_EPOCH[0]:
+            # A RADOS fetch or prefix traversal came in between and the
+            # frag layout may have moved: re-route the leaf on the same
+            # parent.
+            frag = (parent.frag_for_name(leaf) if leaf is not None
+                    else next(iter(parent.frags.values())))
+        # Namespace mutations take the carried route while the tree shape
+        # is unchanged, and otherwise resolve the path afresh.
+        route = ((parent, leaf, frag) if leaf is not None
+                 and tree_epoch == self.namespace.tree_epoch else None)
         now = self.engine.now
         kind = req.kind
         result = None
         try:
             if kind is OpKind.CREATE:
-                existing = parent.lookup(leaf) if leaf is not None else None
+                existing = (parent.lookup(leaf, frag) if leaf is not None
+                            else None)
                 if existing is not None and not existing.is_dir:
                     # O_CREAT on an existing file: truncate/update in place
                     # (compiles recreate .o files all the time).
@@ -326,16 +355,18 @@ class MdsServer:
                     existing.size = 0
                     self.cache.touch(existing.ino)
                 else:
-                    inode = self.namespace.create(req.path, now=now)
+                    inode = self.namespace.create(req.path, now=now,
+                                                  route=route)
                     self.cache.insert(inode.ino)
                 self.journal.log("create")
-                self._maybe_store(parent, leaf, now)
+                self._maybe_store(parent, leaf, frag, now)
             elif kind is OpKind.MKDIR:
-                directory = self.namespace.mkdir(req.path, now=now)
+                directory = self.namespace.mkdir(req.path, now=now,
+                                                 route=route)
                 self.cache.insert(directory.inode.ino)
                 self.journal.log("mkdir")
             elif kind is OpKind.UNLINK:
-                self.namespace.unlink(req.path, now=now)
+                self.namespace.unlink(req.path, now=now, route=route)
                 self.journal.log("unlink")
             elif kind is OpKind.RENAME:
                 dst = req.payload.get("dst")
@@ -362,7 +393,7 @@ class MdsServer:
                 entries = parent.readdir()
                 result = len(entries)
             else:  # STAT / LOOKUP / OPEN
-                inode = (parent.lookup(leaf) if leaf is not None
+                inode = (parent.lookup(leaf, frag) if leaf is not None
                          else parent.inode)
                 if inode is None:
                     raise FileNotFoundError(req.path)
@@ -379,7 +410,7 @@ class MdsServer:
             self._reply(req, done, error="EINVAL")
             return
         counter_kind = COUNTER_KIND[kind]
-        self.namespace.record_hit(parent, leaf, counter_kind, now)
+        self.namespace.record_hit(parent, leaf, counter_kind, now, frag=frag)
         self.auth_load.hit(counter_kind, now)
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
@@ -417,14 +448,14 @@ class MdsServer:
         self.engine.schedule(halt, unfreeze)
 
     def _maybe_store(self, parent: Directory, leaf: Optional[str],
-                     now: float) -> None:
+                     frag: DirFrag, now: float) -> None:
         """Every Nth write to a directory commits it back to RADOS."""
         key = parent.inode.ino
         count = self._stores_pending.get(key, 0) + 1
         if count >= self.config.store_every:
             self._stores_pending[key] = 0
             self.metrics.stores += 1
-            self.namespace.record_hit(parent, leaf, "STORE", now)
+            self.namespace.record_hit(parent, leaf, "STORE", now, frag=frag)
             obj = f"dir.{parent.inode.ino}"
             self.rados.write(obj, self.config.dir_object_bytes)
         else:
@@ -437,9 +468,6 @@ class MdsServer:
             # Fragmentation is real work on this CPU.
             self.station.submit(("fragment", directory.path()), 0.001,
                                 want_completion=False)
-
-    def _record_all_load(self, req: MetaRequest) -> None:
-        self.all_load.hit(COUNTER_KIND[req.kind], self.engine.now)
 
     def _reply(self, req: MetaRequest, done: Completion,
                result=None, error: Optional[str] = None,

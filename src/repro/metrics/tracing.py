@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING
 from ..clients.ops import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..clients.client import Client
+    from ..clients.ops import MetaReply
     from ..cluster import SimulatedCluster
     from ..workloads.patterns import TraceWorkload
 
@@ -50,7 +52,21 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
-    # -- direct recording API (used by the record_run tap) ------------------
+    # -- recording ------------------------------------------------------
+    def tap(self, client: "Client", reply: "MetaReply") -> None:
+        """A cluster ``reply_tap``: record *reply* as *client* receives it."""
+        self.record_reply(
+            now=client.engine.now,
+            client_id=client.client_id,
+            kind=reply.kind,
+            path=reply.path,
+            latency=reply.latency,
+            served_by=reply.served_by,
+            forwards=reply.forwards,
+            ok=reply.ok,
+            dst=reply.dst,
+        )
+
     def record_reply(self, now: float, client_id: int, kind: OpKind,
                      path: str, latency: float, served_by: int,
                      forwards: int, ok: bool,
@@ -122,30 +138,13 @@ def record_run(cluster: "SimulatedCluster", workload,
                **kwargs) -> tuple["TraceRecorder", object]:
     """Run *workload* on *cluster* while recording every op.
 
-    Returns (recorder, SimReport).
+    Records through the cluster's own ``reply_tap``, so only this
+    cluster's clients are recorded.  Returns (recorder, SimReport).
     """
-    from ..clients.client import Client
-
     recorder = TraceRecorder()
-    original_learn = Client._learn
-
-    def learning_tap(self, path, reply):
-        recorder.record_reply(
-            now=self.engine.now,
-            client_id=self.client_id,
-            kind=reply.kind,
-            path=reply.path,
-            latency=reply.latency,
-            served_by=reply.served_by,
-            forwards=reply.forwards,
-            ok=reply.ok,
-            dst=reply.dst,
-        )
-        return original_learn(self, path, reply)
-
-    Client._learn = learning_tap
+    cluster.reply_tap = recorder.tap
     try:
         report = cluster.run_workload(workload, **kwargs)
     finally:
-        Client._learn = original_learn
+        cluster.reply_tap = None
     return recorder, report

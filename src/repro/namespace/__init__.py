@@ -16,7 +16,7 @@ from .counters import (
 from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
 from .dirfrag import DirFrag, FragId, name_hash
 from .inode import Inode, reset_ino_counter
-from .tree import Namespace, split_path
+from .tree import Namespace, split_parent, split_path
 
 __all__ = [
     "DEFAULT_HALF_LIFE",
@@ -32,5 +32,6 @@ __all__ = [
     "OP_KINDS",
     "name_hash",
     "reset_ino_counter",
+    "split_parent",
     "split_path",
 ]

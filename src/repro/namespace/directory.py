@@ -258,19 +258,28 @@ class Directory:
         return children
 
     # -- entries -------------------------------------------------------
-    def lookup(self, name: str) -> Optional[Inode]:
-        return self.frag_for_name(name).get(name)
+    # Each entry op takes the dirfrag the name routes to when the caller
+    # already resolved it (``frag_for_name`` at the current auth epoch);
+    # without one the name is hashed here.
+    def lookup(self, name: str,
+               frag: Optional[DirFrag] = None) -> Optional[Inode]:
+        if frag is None:
+            frag = self.frag_for_name(name)
+        return frag.entries.get(name)
 
-    def link(self, inode: Inode) -> None:
+    def link(self, inode: Inode, frag: Optional[DirFrag] = None) -> None:
         """Add *inode* as an entry of this directory."""
-        frag = self.frag_for_name(inode.name)
-        if inode.name in frag.entries:
-            raise FileExistsError(f"{self.path()}/{inode.name} exists")
+        name = inode.name
+        if frag is None:
+            frag = self.frag_for_name(name)
+        if name in frag.entries:
+            raise FileExistsError(f"{self.path()}/{name} exists")
         inode.parent = self
-        frag.add(inode)
+        frag.entries[name] = inode
 
-    def unlink(self, name: str) -> Inode:
-        frag = self.frag_for_name(name)
+    def unlink(self, name: str, frag: Optional[DirFrag] = None) -> Inode:
+        if frag is None:
+            frag = self.frag_for_name(name)
         if name not in frag.entries:
             raise FileNotFoundError(f"{self.path()}/{name}")
         inode = frag.remove(name)

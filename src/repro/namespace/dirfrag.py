@@ -9,7 +9,6 @@ is hot (paper §2, "Partitioning the Namespace").
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .counters import LoadCounters
@@ -31,7 +30,6 @@ def bump_auth_epoch() -> None:
     _AUTH_EPOCH[0] += 1
 
 
-@lru_cache(maxsize=262144)
 def name_hash(name: str) -> int:
     """Stable 32-bit hash used for frag placement."""
     return zlib.crc32(name.encode("utf-8")) & 0xFFFFFFFF

@@ -10,7 +10,6 @@ on the wrong rank.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .. import fastpath
@@ -19,32 +18,29 @@ from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
 from .dirfrag import DirFrag
 from .inode import Inode
 
+#: ``(parent directory, leaf name, dirfrag)`` a request routes to.
+Route = tuple[Directory, str, Optional[DirFrag]]
 
-@lru_cache(maxsize=262144)
+
 def split_path(path: str) -> tuple[str, ...]:
-    """Normalize ``/a//b/`` -> ``('a', 'b')``.
-
-    Returns a (cached, immutable) tuple: request paths are re-split several
-    times on their way through a client and an MDS, so memoizing the split
-    is one of the hottest wins in the whole simulator.
-    """
+    """Normalize ``/a//b/`` -> ``('a', 'b')``."""
     return tuple(part for part in path.split("/") if part)
 
 
-@lru_cache(maxsize=262144)
-def parent_and_leaf(path: str) -> Optional[tuple[str, str]]:
-    """``(parent path, leaf name)`` for *path*, or None for the root."""
+def split_parent(path: str) -> tuple[str, str]:
+    """``(parent directory, leaf name)`` of *path*; ``("/", "")`` for the root.
+
+    The parent is absolute and normalized (``//a//b/`` -> ``("/a", "b")``).
+    A path already in normal form (``/a/b``) splits with one ``rpartition``;
+    anything else goes through :func:`split_path`.
+    """
+    if path[:1] == "/" and path[-1:] != "/" and "//" not in path:
+        head, _sep, leaf = path.rpartition("/")
+        return head or "/", leaf
     parts = split_path(path)
     if not parts:
-        return None
-    return "/".join(parts[:-1]), parts[-1]
-
-
-@lru_cache(maxsize=262144)
-def dirname_of(path: str) -> str:
-    """Absolute path of the directory containing *path* (``/`` for roots)."""
-    parts = split_path(path)
-    return "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
+        return "/", ""
+    return "/" + "/".join(parts[:-1]), parts[-1]
 
 
 class Namespace:
@@ -72,19 +68,22 @@ class Namespace:
         # shape changes (mkdir / dir unlink / rename).
         self._dir_cache: dict[str, Directory] = {}
         self._dir_cache_epoch = 0
-        self._tree_epoch = 0
+        #: Bumped whenever the directory tree's shape changes (mkdir, dir
+        #: unlink, rename): a path resolved at one tree epoch resolves to
+        #: the same Directory for as long as the epoch holds.
+        self.tree_epoch = 0
 
     def _bump_tree_epoch(self) -> None:
-        self._tree_epoch += 1
+        self.tree_epoch += 1
 
     # -- resolution ------------------------------------------------------
     def resolve_dir(self, path: str) -> Directory:
         """Resolve *path* to a Directory; raises FileNotFoundError/NotADirectoryError."""
         if fastpath.ENABLED:
             cache = self._dir_cache
-            if self._dir_cache_epoch != self._tree_epoch:
+            if self._dir_cache_epoch != self.tree_epoch:
                 cache.clear()
-                self._dir_cache_epoch = self._tree_epoch
+                self._dir_cache_epoch = self.tree_epoch
             node = cache.get(path)
             if node is not None:
                 return node
@@ -103,21 +102,29 @@ class Namespace:
 
     def resolve_entry(self, path: str) -> Inode:
         """Resolve *path* to any inode (file or directory)."""
-        parts = split_path(path)
-        if not parts:
+        dir_path, leaf = split_parent(path)
+        if not leaf:
             return self.root.inode
-        parent = self.resolve_dir("/".join(parts[:-1]))
-        entry = parent.lookup(parts[-1])
+        entry = self.resolve_dir(dir_path).lookup(leaf)
         if entry is None:
             raise FileNotFoundError(path)
         return entry
 
     def parent_of(self, path: str) -> tuple[Directory, str]:
         """The directory containing *path* and the leaf name."""
-        parts = split_path(path)
-        if not parts:
+        dir_path, leaf = split_parent(path)
+        if not leaf:
             raise ValueError("the root has no parent")
-        return self.resolve_dir("/".join(parts[:-1])), parts[-1]
+        return self.resolve_dir(dir_path), leaf
+
+    def _target(self, path: str, route: Optional[Route]) -> Route:
+        """``(parent, leaf, frag)`` for a mutation of *path*: the carried
+        *route* when the caller already resolved it, else resolved here
+        (frag None: the directory picks it)."""
+        if route is not None:
+            return route
+        parent, name = self.parent_of(path)
+        return parent, name, None
 
     def exists(self, path: str) -> bool:
         try:
@@ -127,14 +134,17 @@ class Namespace:
             return False
 
     # -- mutation ---------------------------------------------------------
-    def mkdir(self, path: str, now: float = 0.0, mode: int = 0o755) -> Directory:
-        parent, name = self.parent_of(path)
+    def mkdir(self, path: str, now: float = 0.0, mode: int = 0o755, *,
+              route: Optional[Route] = None) -> Directory:
+        """Create directory *path*.  *route* is its ``(parent, leaf, frag)``
+        when the caller already resolved it (as in :meth:`create`)."""
+        parent, name, frag = self._target(path, route)
         inode = Inode(name=name, is_dir=True, mode=mode, ctime=now,
                       mtime=now, atime=now, ino=next(self._ino_counter))
         directory = Directory(inode, parent, half_life=self.half_life,
                               split_size=self.split_size,
                               split_bits=self.split_bits)
-        parent.link(inode)
+        parent.link(inode, frag)
         parent.subdirs[name] = directory
         self.inode_count += 1
         self.dir_count += 1
@@ -154,18 +164,25 @@ class Namespace:
         return node
 
     def create(self, path: str, now: float = 0.0, mode: int = 0o644,
-               size: int = 0) -> Inode:
-        parent, name = self.parent_of(path)
+               size: int = 0, *, route: Optional[Route] = None) -> Inode:
+        """Create file *path*.
+
+        *route* is ``(parent, leaf, frag)`` already resolved for *path* at
+        the current tree and authority epochs (an MDS carries it with the
+        request); without it the path is split and resolved here.
+        """
+        parent, name, frag = self._target(path, route)
         inode = Inode(name=name, is_dir=False, mode=mode, size=size,
                       ctime=now, mtime=now, atime=now,
                       ino=next(self._ino_counter))
-        parent.link(inode)
+        parent.link(inode, frag)
         self.inode_count += 1
         return inode
 
-    def unlink(self, path: str, now: float = 0.0) -> Inode:
-        parent, name = self.parent_of(path)
-        inode = parent.unlink(name)
+    def unlink(self, path: str, now: float = 0.0, *,
+               route: Optional[Route] = None) -> Inode:
+        parent, name, frag = self._target(path, route)
+        inode = parent.unlink(name, frag)
         self.inode_count -= 1
         if inode.is_dir:
             self.dir_count -= 1
@@ -203,15 +220,18 @@ class Namespace:
 
     # -- accounting ------------------------------------------------------
     def record_hit(self, directory: Directory, name: Optional[str],
-                   kind: str, now: float, amount: float = 1.0) -> DirFrag:
+                   kind: str, now: float, amount: float = 1.0,
+                   frag: Optional[DirFrag] = None) -> DirFrag:
         """Charge an op against a dirfrag and every ancestor directory.
 
         Paper §2: counters "are stored in the directories and are updated by
         the MDS whenever a namespace operation hits that directory or any of
-        its children."
+        its children."  *frag* is the dirfrag *name* routes to when the
+        caller already knows it.
         """
-        frag = (directory.frag_for_name(name) if name is not None
-                else next(iter(directory.frags.values())))
+        if frag is None:
+            frag = (directory.frag_for_name(name) if name is not None
+                    else next(iter(directory.frags.values())))
         # LoadCounters.hit inlined over frag + the whole ancestor chain:
         # this is the single hottest accounting loop in the simulator
         # (3+ hits per op).  The arithmetic matches DecayCounter exactly.
@@ -255,11 +275,11 @@ class Namespace:
 
     def authority_for_path(self, path: str) -> int:
         """The MDS serving the *containing dirfrag* of *path*."""
-        parts = split_path(path)
-        if not parts:
+        dir_path, leaf = split_parent(path)
+        if not leaf:
             return self.root.authority()
-        parent = self.resolve_dir("/".join(parts[:-1]))
-        return parent.frag_for_name(parts[-1]).authority()
+        parent = self.resolve_dir(dir_path)
+        return parent.frag_for_name(leaf).authority()
 
     # -- load views ------------------------------------------------------
     def metadata_load(self, mds: int, metaload: Callable[[dict], float],

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.clients.client import Client
-from repro.clients.ops import OpKind
+from repro.clients.ops import OpKind, split_request
 from repro.cluster import SimulatedCluster
 from tests.conftest import make_config
+
+
+def guess(client, path, kind):
+    """The rank *client* would route a *kind* request on *path* to."""
+    return client._guess(kind, *split_request(kind, path))
 
 
 def run_client(cluster, ops, client_id=0, pipeline=1):
@@ -107,21 +112,21 @@ class TestLearning:
                         cluster.metrics, iter([]))
         client.mds_map["/"] = 0
         client.mds_map["/a/b"] = 1
-        assert client._guess("/a/b/file", OpKind.CREATE) == 1
-        assert client._guess("/a/other", OpKind.CREATE) == 0
+        assert guess(client, "/a/b/file", OpKind.CREATE) == 1
+        assert guess(client, "/a/other", OpKind.CREATE) == 0
 
     def test_guess_defaults_to_rank0(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         client = Client(cluster.engine, 0, cluster.network, cluster.mdss,
                         cluster.metrics, iter([]))
-        assert client._guess("/anything", OpKind.CREATE) == 0
+        assert guess(client, "/anything", OpKind.CREATE) == 0
 
     def test_readdir_maps_on_directory_itself(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         client = Client(cluster.engine, 0, cluster.network, cluster.mdss,
                         cluster.metrics, iter([]))
         client.mds_map["/d"] = 1
-        assert client._guess("/d", OpKind.READDIR) == 1
+        assert guess(client, "/d", OpKind.READDIR) == 1
 
 
 class TestStartDelay:

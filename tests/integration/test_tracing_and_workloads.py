@@ -54,10 +54,48 @@ class TestTraceRecording:
             TraceRecorder().to_workload()
 
     def test_tap_uninstalls_after_run(self):
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        record_run(cluster, CreateWorkload(num_clients=2,
+                                           files_per_client=20))
+        assert cluster.reply_tap is None
+
+    def test_no_class_attribute_changes_during_run(self):
         from repro.clients.client import Client
-        before = Client._learn
-        self.run_recorded(files=20)
-        assert Client._learn is before
+        from repro.mds.server import MdsServer
+
+        classes = (Client, MdsServer, SimulatedCluster)
+        before = [dict(vars(cls)) for cls in classes]
+        seen = []
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        # Mid-run (the run lasts far longer than this), compare classes.
+        cluster.engine.schedule(0.01, lambda: seen.append(
+            [dict(vars(cls)) for cls in classes]))
+        recorder, _report = record_run(
+            cluster, CreateWorkload(num_clients=2, files_per_client=200))
+        assert recorder.events
+        assert seen == [before]
+
+    def test_other_cluster_run_is_not_recorded(self):
+        cluster = SimulatedCluster(make_config(num_mds=1))
+        other_reports = []
+
+        def run_other() -> None:
+            other = SimulatedCluster(make_config(num_mds=1, seed=3))
+            other_reports.append(other.run_workload(
+                CreateWorkload(num_clients=3, files_per_client=30)))
+
+        # A second cluster runs to completion in the middle of the
+        # recorded run, in the same process.
+        cluster.engine.schedule(0.01, run_other)
+        recorder, report = record_run(
+            cluster, CreateWorkload(num_clients=2, files_per_client=200))
+        assert other_reports[0].total_ops == 3 * 31
+        assert len(recorder.events) == report.total_ops == 2 * 201
+        assert {event.client_id for event in recorder.events} == {0, 1}
+        # And a run after the recorded one is not recorded either.
+        SimulatedCluster(make_config(num_mds=1)).run_workload(
+            CreateWorkload(num_clients=2, files_per_client=30))
+        assert len(recorder.events) == 2 * 201
 
 
 class TestCheckpointWorkload:

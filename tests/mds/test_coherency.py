@@ -6,7 +6,6 @@ import pytest
 from repro.clients.client import Client
 from repro.clients.ops import MetaRequest, OpKind
 from repro.cluster import SimulatedCluster
-from repro.mds.server import MdsServer
 from tests.conftest import make_config
 
 
@@ -23,13 +22,13 @@ def build(num_mds=2, **overrides):
 class TestEffectiveSpread:
     def test_single_owner_is_one(self):
         cluster, d = build()
-        assert MdsServer._effective_spread(d) == 1.0
+        assert d.effective_spread() == 1.0
 
     def test_even_split_equals_rank_count(self):
         cluster, d = build(num_mds=4)
         for index, frag in enumerate(d.frags.values()):
             frag.set_auth(index % 4)
-        assert MdsServer._effective_spread(d) == pytest.approx(4.0)
+        assert d.effective_spread() == pytest.approx(4.0)
 
     def test_skewed_split_between(self):
         cluster, d = build(num_mds=4)
@@ -39,14 +38,14 @@ class TestEffectiveSpread:
         frags[1].set_auth(0)
         frags[2].set_auth(1)
         frags[3].set_auth(2)
-        spread = MdsServer._effective_spread(d)
+        spread = d.effective_spread()
         assert 1.0 < spread < 3.0
         assert spread == pytest.approx(1.0 / (0.5**2 + 0.25**2 + 0.25**2))
 
     def test_empty_directory(self):
         cluster = SimulatedCluster(make_config(num_mds=2))
         d = cluster.namespace.mkdirs("/empty")
-        assert MdsServer._effective_spread(d) == 1.0
+        assert d.effective_spread() == 1.0
 
 
 class TestScatterGather:
