@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .. import fastpath
 from ..luapolicy.errors import LuaError
 from ..mds.migration import ExportUnit
 from ..namespace.directory import Directory
@@ -105,12 +104,6 @@ class MantleBalancer:
         self.events = events
         self._active = policy
         self._tick_inputs = None
-        # Per-tick metaload memos.  Within one tick `now` is fixed and the
-        # first counter snapshot decays the counters in place, so repeated
-        # evaluations return bit-identical values -- caching them skips
-        # re-walking subtrees once per target rank.
-        self._dir_load_memo: dict[int, float] = {}
-        self._unit_load_memo: dict[int, float] = {}
 
     # -- circuit breaker ------------------------------------------------
     @property
@@ -181,8 +174,6 @@ class MantleBalancer:
     # ------------------------------------------------------------------
     def tick(self, mds: "MdsServer") -> BalanceDecision:
         now = mds.engine.now
-        self._dir_load_memo.clear()
-        self._unit_load_memo.clear()
         self._tick_inputs = None
         if (self.breaker == "open" and self.probation_ticks > 0
                 and self._clean_fallback_ticks >= self.probation_ticks):
@@ -224,13 +215,19 @@ class MantleBalancer:
         if mds_metrics is None:
             return
 
-        targets = self._run_decision(mds, mds_metrics, alive, decision)
-        if not targets:
-            return
-        decision.went = True
-        decision.targets = dict(targets)
-
-        self._ship(mds, targets, decision)
+        try:
+            targets = self._run_decision(mds, mds_metrics, alive, decision)
+            if not targets:
+                return
+            decision.went = True
+            decision.targets = dict(targets)
+            self._ship(mds, targets, decision)
+        except LuaError as exc:
+            # Only the metaload formula raises out of here: the decision
+            # chunk's errors are recorded inside _run_decision.  Exports
+            # already handed to the migrator stand.
+            self._record_error(now, mds.rank)
+            decision.error = f"metaload: {exc}"
 
     # -- step 1: score all ranks ------------------------------------------
     def _score_ranks(self, mds: "MdsServer", num_ranks: int,
@@ -270,6 +267,8 @@ class MantleBalancer:
         local_counters = mds.all_load.snapshot(now)
         auth_counters = mds.auth_load.snapshot(now)
         all_counters = mds.all_load.snapshot(now)
+        auth_metaload = self.metaload_fn(auth_counters)
+        all_metaload = self.metaload_fn(all_counters)
         if self.shadow is not None:
             # Stash the *exact* inputs this tick decided on, so the shadow
             # evaluates its candidate against identical bindings without
@@ -280,8 +279,8 @@ class MantleBalancer:
             whoami=mds.rank,
             mds_metrics=mds_metrics,
             local_counters=local_counters,
-            auth_metaload=self.metaload_fn(auth_counters),
-            all_metaload=self.metaload_fn(all_counters),
+            auth_metaload=auth_metaload,
+            all_metaload=all_metaload,
             wrstate=wrstate,
             rdstate=rdstate,
         )
@@ -341,7 +340,7 @@ class MantleBalancer:
         visited: set[int] = {id(d) for d in frontier}
         while frontier and remaining > self._active.min_unit_load:
             frontier.sort(
-                key=lambda d: self._dir_metaload(d, now),
+                key=lambda d: self.metaload_fn(d.counters.snapshot(now)),
                 reverse=True,
             )
             directory = frontier.pop(0)
@@ -372,17 +371,6 @@ class MantleBalancer:
                     visited.add(id(child))
                     frontier.append(child)
         return exports
-
-    def _dir_metaload(self, directory: Directory, now: float) -> float:
-        if not fastpath.ENABLED:
-            return self.metaload_fn(directory.counters.snapshot(now))
-        memo = self._dir_load_memo
-        key = id(directory)
-        value = memo.get(key)
-        if value is None:
-            value = self.metaload_fn(directory.counters.snapshot(now))
-            memo[key] = value
-        return value
 
     def _roots(self, mds: "MdsServer") -> list[Directory]:
         roots = mds.namespace.subtree_roots(mds.rank)
@@ -415,7 +403,7 @@ class MantleBalancer:
                 continue
             if self._fully_owned(child, mds.rank) and not self._frozen(child):
                 unit = ExportUnit(child)
-                load = self._unit_load(unit, now)
+                load = unit.load(self.metaload_fn, now)
                 if load > self._active.min_unit_load:
                     units.append((unit, load))
         # Dirfrags are atomic export units: offered even when the directory
@@ -426,32 +414,10 @@ class MantleBalancer:
                 continue
             if frag.authority() != mds.rank:
                 continue
-            load = self._frag_metaload(frag, now)
+            load = self.metaload_fn(frag.load_snapshot(now))
             if load > self._active.min_unit_load:
                 units.append((ExportUnit(frag), load))
         return units
-
-    def _unit_load(self, unit: ExportUnit, now: float) -> float:
-        if not fastpath.ENABLED:
-            return unit.load(self.metaload_fn, now)
-        memo = self._unit_load_memo
-        key = id(unit.target)
-        value = memo.get(key)
-        if value is None:
-            value = unit.load(self.metaload_fn, now)
-            memo[key] = value
-        return value
-
-    def _frag_metaload(self, frag, now: float) -> float:
-        if not fastpath.ENABLED:
-            return self.metaload_fn(frag.load_snapshot(now))
-        memo = self._unit_load_memo
-        key = id(frag)
-        value = memo.get(key)
-        if value is None:
-            value = self.metaload_fn(frag.load_snapshot(now))
-            memo[key] = value
-        return value
 
     @staticmethod
     def _fully_owned(directory: Directory, rank: int) -> bool:

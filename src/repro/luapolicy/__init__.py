@@ -32,7 +32,7 @@ from .sandbox import (
     evaluate_expression,
     run_policy,
 )
-from .stdlib import install_stdlib, new_environment
+from .stdlib import new_environment
 from .values import LuaFunction, LuaTable, MultiValue, from_python, to_python
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "compile_policy",
     "evaluate_expression",
     "from_python",
-    "install_stdlib",
     "new_environment",
     "parse_chunk",
     "parse_expression",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .. import fastpath
 from .errors import LuaRuntimeError
 from .interpreter import Environment
 from .values import (
@@ -398,17 +397,8 @@ FORBIDDEN_STDLIB_MEMBERS: frozenset[str] = frozenset({
 _STDLIB_PROTO: dict[str, LuaValue] | None = None
 
 
-def install_stdlib(env: Environment) -> Environment:
-    """Install the safe builtins into *env* (typically the root scope)."""
-    for name, value in _stdlib_vars().items():
-        env.declare(name, value)
-    return env
-
-
 def new_environment() -> Environment:
     """Fresh root environment with the stdlib installed."""
-    if not fastpath.ENABLED:
-        return install_stdlib(Environment())
     global _STDLIB_PROTO
     if _STDLIB_PROTO is None:
         _STDLIB_PROTO = _stdlib_vars()

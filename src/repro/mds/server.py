@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
                            OpKind, split_request)
 from ..config import ClusterConfig
+from ..luapolicy.errors import LuaError
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
 from ..namespace.counters import LoadCounters
 from ..namespace.directory import Directory
@@ -614,6 +615,17 @@ class MdsServer:
         self._hb_epoch += 1
         metaload_fn = (self.balancer.metaload_fn if self.balancer is not None
                        else _default_metaload)
+        auth_counters = self.auth_load.snapshot(now)
+        all_counters = self.all_load.snapshot(now)
+        try:
+            auth_metaload = metaload_fn(auth_counters)
+            all_metaload = metaload_fn(all_counters)
+        except LuaError:
+            # A broken metaload formula must not take the MDS down: this
+            # beat reports the Table 1 formula; the balancer's tick records
+            # the error against the policy's circuit breaker.
+            auth_metaload = _default_metaload(auth_counters)
+            all_metaload = _default_metaload(all_counters)
         cpu = self.station.utilization_since_mark() * 100.0
         noise = self.config.cpu_measure_noise
         if noise > 0:
@@ -622,8 +634,8 @@ class MdsServer:
         return HeartBeat(
             rank=self.rank,
             sent_at=now,
-            auth_metaload=metaload_fn(self.auth_load.snapshot(now)),
-            all_metaload=metaload_fn(self.all_load.snapshot(now)),
+            auth_metaload=auth_metaload,
+            all_metaload=all_metaload,
             cpu=min(100.0, cpu),
             mem=100.0 * self.cache.fill_fraction,
             queue_length=float(self.station.queue_length),

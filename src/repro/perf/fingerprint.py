@@ -8,8 +8,6 @@ simulation's output* is unchanged.  That closure is:
   exactly right for a bit-identical simulator);
 * the interpreter and numpy versions (RNG bit streams are version
   contracts, not guarantees across majors);
-* the fast-path toggle (``repro.fastpath.ENABLED``) -- equivalence tests
-  assert both paths agree, but the cache must not *assume* it;
 * the resolved cell: config fields (seed included), workload class and
   attributes, ``max_time``, lifecycle arms, the lint gate and the
   **policy text** (via :func:`repro.core.policyfile.dump_policy`), so
@@ -28,7 +26,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from .. import fastpath
 from ..core.policyfile import dump_policy
 
 #: The package whose sources define the simulation's behaviour.
@@ -115,5 +112,4 @@ def cell_fingerprint(cell) -> str:
     hasher = hashlib.sha256()
     hasher.update(sources_digest().encode())
     hasher.update(canonical(payload))
-    hasher.update(f"fastpath={fastpath.ENABLED}".encode())
     return hasher.hexdigest()

@@ -1,7 +1,8 @@
 """The Mantle environment (paper Table 2): formulas, bindings, targets."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.environment import (
     build_decision_bindings,
@@ -10,7 +11,6 @@ from repro.core.environment import (
     extract_targets,
 )
 from repro.luapolicy import LuaRuntimeError, run_policy
-from repro.luapolicy.sandbox import compile_load_expression
 from repro.namespace.counters import OP_KINDS
 
 
@@ -34,13 +34,6 @@ class TestMetaloadCompilation:
         with pytest.raises(LuaRuntimeError):
             fn(snapshot())
 
-    def test_transpiled_matches_interpreter(self):
-        source = "IRD + 2*IWR - READDIR/4"
-        fast = compile_metaload(source)
-        values = snapshot(IRD=3, IWR=5, READDIR=8)
-        slow = compile_load_expression(source).run(values).return_value
-        assert fast(values) == pytest.approx(slow)
-
     def test_complex_formula_falls_back_to_interpreter(self):
         fn = compile_metaload("max(IRD, IWR) + math.floor(READDIR)")
         assert fn(snapshot(IRD=2, IWR=9, READDIR=3.7)) == 12.0
@@ -50,17 +43,17 @@ class TestMetaloadCompilation:
         with pytest.raises(LuaRuntimeError):
             fn(snapshot())
 
-    @given(ird=st.floats(0, 1e5), iwr=st.floats(0, 1e5),
-           rdd=st.floats(0, 1e5), fetch=st.floats(0, 1e5),
-           store=st.floats(0, 1e5))
-    def test_transpiler_equivalence_property(self, ird, iwr, rdd, fetch,
-                                             store):
-        source = "IRD + 2*IWR + READDIR + 2*FETCH + 4*STORE"
-        values = snapshot(IRD=ird, IWR=iwr, READDIR=rdd, FETCH=fetch,
-                          STORE=store)
-        fast = compile_metaload(source)(values)
-        slow = compile_load_expression(source).run(values).return_value
-        assert fast == pytest.approx(slow)
+    # Lua numbers are IEEE doubles: dividing by zero never raises.
+    def test_division_by_zero_is_inf(self):
+        fn = compile_metaload("IWR / IRD")
+        assert fn(snapshot(IWR=3)) == math.inf
+        assert fn(snapshot(IWR=-3)) == -math.inf
+
+    def test_zero_over_zero_is_nan(self):
+        assert math.isnan(compile_metaload("IWR / IRD")(snapshot()))
+
+    def test_modulo_by_zero_is_nan(self):
+        assert math.isnan(compile_metaload("IWR % IRD")(snapshot(IWR=3)))
 
 
 class TestMdsloadCompilation:
@@ -91,6 +84,18 @@ class TestMdsloadCompilation:
         fn = compile_mdsload("MDSs")
         with pytest.raises(LuaRuntimeError):
             fn(self.METRICS, 0)
+
+    def test_division_by_zero_is_inf(self):
+        fn = compile_mdsload('MDSs[i]["auth"] / MDSs[i]["q"]')
+        assert fn(self.METRICS, 1) == math.inf
+
+    def test_zero_over_zero_is_nan(self):
+        fn = compile_mdsload('MDSs[i]["q"] / MDSs[i]["q"]')
+        assert math.isnan(fn(self.METRICS, 1))
+
+    def test_modulo_by_zero_is_nan(self):
+        fn = compile_mdsload('MDSs[i]["auth"] % MDSs[i]["q"]')
+        assert math.isnan(fn(self.METRICS, 1))
 
 
 class TestDecisionBindings:

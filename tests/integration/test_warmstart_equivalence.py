@@ -13,7 +13,6 @@ from functools import partial
 
 import pytest
 
-from repro import fastpath
 from repro.core.policies import fill_spill_policy, greedy_spill_policy
 from repro.perf import Cell, run_cells
 from repro.perf.cache import ResultCache, cache_disabled, open_cache
@@ -71,6 +70,10 @@ class TestWarmStartEquivalence:
     def test_single_cell_falls_back_to_cold_path(self):
         specs = build_specs([5], ["greedy-spill"], **SMALL)
         assert run_sweep(specs, warm=True) == run_sweep(specs)
+
+    def test_sweep_parallel_matches_serial(self):
+        specs = build_specs([0, 1], ["greedy-spill"], **SMALL)
+        assert run_sweep(specs, jobs=2) == run_sweep(specs, jobs=1)
 
     def test_warm_flag_without_fork_support(self, monkeypatch):
         # Platforms without os.fork must silently take the cold path.
@@ -257,16 +260,6 @@ class TestFingerprintInvalidation:
 
         monkeypatch.setitem(STOCK_POLICIES, "greedy-spill", edited)
         assert cell_fingerprint(spec_cell(spec)) != before
-
-    def test_fastpath_toggle_is_a_miss(self):
-        spec = build_specs([0], ["greedy-spill"], **SMALL)[0]
-        before = cell_fingerprint(spec_cell(spec))
-        original = fastpath.ENABLED
-        try:
-            fastpath.set_enabled(not original)
-            assert cell_fingerprint(spec_cell(spec)) != before
-        finally:
-            fastpath.set_enabled(original)
 
     def test_sources_digest_is_stable_within_process(self):
         assert sources_digest() == sources_digest()

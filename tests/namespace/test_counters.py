@@ -76,6 +76,21 @@ class TestDecayCounter:
             counter.hit(time, amount)
         assert counter.get(60.0) >= 0.0
 
+    def test_decay_counter_inline_arithmetic_matches_reference(self):
+        """The decay arithmetic inlined into hit() stays exact."""
+        counter = DecayCounter(half_life=4.0)
+        mirror = 0.0
+        now = 0.0
+        for i in range(50):
+            gap = 0.2 + (i % 9) * 0.31
+            now += gap
+            counter.hit(now, amount=2.0)
+            mirror *= math.pow(0.5, gap / 4.0)
+            if mirror < 1e-12:
+                mirror = 0.0
+            mirror += 2.0
+            assert counter.get(now) == pytest.approx(mirror, rel=1e-12)
+
 
 class TestLoadCounters:
     def test_all_kinds_present(self):
@@ -129,3 +144,23 @@ class TestLoadCounters:
         a.absorb(source, 0.0, fraction)
         a.absorb(source, 0.0, 1.0 - fraction)
         assert a.get("STORE", 0.0) == pytest.approx(42.0)
+
+    def test_batched_decay_snapshot_matches_per_counter_decay(self):
+        """snapshot()'s grouped decay equals DecayCounter.get per counter."""
+
+        def build():
+            counters = LoadCounters(half_life=5.0)
+            t = 0.0
+            for i in range(200):
+                t += 0.37
+                counters.hit("IRD" if i % 3 else "IWR", t,
+                             amount=1.0 + i % 5)
+                if i % 7 == 0:
+                    counters.hit("READDIR", t)
+            return counters, t
+
+        batched, t = build()
+        twin, _ = build()
+        per_counter = {kind: counter.get(t + 2.5)
+                       for kind, counter in twin.counters.items()}
+        assert batched.snapshot(t + 2.5) == per_counter

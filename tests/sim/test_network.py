@@ -61,3 +61,13 @@ class TestDelivery:
 
         process = engine.process(client())
         assert engine.run_until_complete(process.completion) == "pong"
+
+    def test_network_jitter_batching_preserves_draw_sequence(self):
+        """Batched lognormal refills yield the exact scalar draw sequence."""
+        network = Network(SimEngine(),
+                          np.random.Generator(np.random.PCG64(123)))
+        twin = np.random.Generator(np.random.PCG64(123))
+        batched = [network.one_way() for _ in range(3000)]
+        scalar = [float(twin.lognormal(network._mu, network._sigma))
+                  for _ in range(3000)]
+        assert batched == scalar
