@@ -18,7 +18,8 @@ from ..namespace.dirfrag import name_hash
 from ..namespace.tree import split_path
 from ..sim.engine import SimEngine
 from ..sim.network import Network
-from .ops import MetaReply, MetaRequest, OpKind, split_request
+from .ops import (READDIR, MetaReply, MetaRequest, OpKind, next_req_id,
+                  split_request)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mds.server import MdsServer
@@ -28,6 +29,49 @@ WorkloadOp = tuple[OpKind, str]
 #: Called as ``tap(client, reply)`` for every reply a client receives,
 #: before the client learns from it (see ``metrics.tracing.record_run``).
 ReplyTap = Callable[["Client", MetaReply], None]
+
+
+class ReplySlot:
+    """Where the reply to one request lands.
+
+    An MDS replies through ``done.succeed(reply)`` after checking
+    ``done.done`` (the protocol a :class:`~repro.sim.engine.Completion`
+    also has); a slot hands the reply straight to its client, so an op
+    costs no completion, callback or process resume.  A slot takes one
+    reply: a second ``succeed`` raises.
+    """
+
+    __slots__ = ("client", "request", "done")
+
+    def __init__(self, client: "Client", request: MetaRequest) -> None:
+        self.client = client
+        self.request = request
+        self.done = False
+
+    def succeed(self, reply: MetaReply) -> None:
+        """Account the reply at its delivery instant, learn from it, then
+        send the client's next op (after its think time, if any)."""
+        if self.done:
+            raise RuntimeError(
+                f"request {self.request.req_id} already got its reply")
+        self.done = True
+        client = self.client
+        req = self.request
+        client.metrics.latencies.record(client.client_id,
+                                        client.engine.now - req.issued_at)
+        client.ops_completed += 1
+        if reply.error is not None:
+            client.errors += 1
+        if client.reply_tap is not None:
+            client.reply_tap(client, reply)
+        # Learn the serving rank and the directory's fragtree.
+        client.mds_map[req.dir_path] = reply.served_by
+        if reply.dir_path is not None and reply.frag_map is not None:
+            client.frag_maps[reply.dir_path] = reply.frag_map
+        if client.think_time > 0:
+            client.engine.schedule(float(client.think_time), client._next_op)
+        else:
+            client._next_op()
 
 
 class Client:
@@ -67,7 +111,6 @@ class Client:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self._workers_left = 0
-        self._exhausted = False
         self.done = engine.completion()
 
     # -- lifecycle -----------------------------------------------------
@@ -77,37 +120,10 @@ class Client:
     def _launch(self) -> None:
         self.started_at = self.engine.now
         self._workers_left = self.pipeline
-        for worker in range(self.pipeline):
-            self.engine.process(
-                self._worker(), name=f"client{self.client_id}.w{worker}"
-            )
-
-    def _worker(self):
-        while True:
-            try:
-                op = next(self.ops)
-            except StopIteration:
-                break
-            kind, path = op[0], op[1]
-            dst = op[2] if len(op) > 2 else None
-            req, completion = self._issue(kind, path, dst=dst)
-            reply = yield completion
-            # Same simulated instant as the reply delivery (the worker
-            # resumes via a zero-delay event), so the measured latency is
-            # unchanged by recording it here instead of in a callback.
-            self.metrics.latencies.record(self.client_id,
-                                          self.engine.now - req.issued_at)
-            self.ops_completed += 1
-            if reply.error is not None:
-                self.errors += 1
-            if self.reply_tap is not None:
-                self.reply_tap(self, reply)
-            self._learn(req, reply)
-            if self.think_time > 0:
-                yield self.think_time
-        self._workers_left -= 1
-        if self._workers_left == 0:
-            self._finish()
+        # One zero-delay start event per pipeline worker; each worker then
+        # issues its next op from the reply to its previous one.
+        for _worker in range(self.pipeline):
+            self.engine.schedule(0.0, self._next_op)
 
     def _finish(self) -> None:
         self.finished_at = self.engine.now
@@ -117,22 +133,28 @@ class Client:
             self.done.succeed(self.client_id)
 
     # -- request issue ------------------------------------------------------
-    def _issue(self, kind: OpKind, path: str, dst: str | None = None):
-        """Send one request; returns ``(request, completion)``.
+    def _next_op(self) -> None:
+        """One pipeline worker's next step: send its next op, or retire.
 
         The path is split once here; the request carries the split to the
-        MDS and back to :meth:`_learn`.  The completion fires with the
-        :class:`MetaReply`; the worker that yields on it records the
-        latency itself, so no wrapper completion or callback is allocated
-        per op.
+        MDS and back to its :class:`ReplySlot`, which takes the
+        :class:`MetaReply` and calls this again.
         """
+        try:
+            op = next(self.ops)
+        except StopIteration:
+            self._workers_left -= 1
+            if self._workers_left == 0:
+                self._finish()
+            return
+        kind, path = op[0], op[1]
         dir_path, leaf = split_request(kind, path)
-        req = MetaRequest(kind=kind, path=path, client_id=self.client_id,
-                          issued_at=self.engine.now, dir_path=dir_path,
-                          leaf=leaf)
-        if dst is not None:
-            req.payload["dst"] = dst
-        completion = self.engine.completion()
+        req = MetaRequest(kind, path, self.client_id, next_req_id(), [],
+                          self.engine.now,
+                          {"dst": op[2]} if len(op) > 2
+                          and op[2] is not None else {},
+                          dir_path, leaf, None)
+        slot = ReplySlot(self, req)
         rank = self._guess(kind, dir_path, leaf)
         # _cap_switch_delay's common case (feature off / same rank) inlined;
         # the method re-does the _last_rank swap, so undo it before calling.
@@ -147,12 +169,10 @@ class Client:
         if delay > 0:
             self.engine.schedule(
                 delay, self.network.deliver,
-                self.mdss[rank].receive_request, req, completion,
+                self.mdss[rank].receive_request, req, slot,
             )
         else:
-            self.network.deliver(self.mdss[rank].receive_request, req,
-                                 completion)
-        return req, completion
+            self.network.deliver(self.mdss[rank].receive_request, req, slot)
 
     def _cap_switch_delay(self, path: str, kind: OpKind, rank: int) -> float:
         """Cap revalidation when consecutive requests alternate ranks.
@@ -179,13 +199,22 @@ class Client:
 
         *dir_path* and *leaf* are ``split_request(kind, path)``.
         """
-        if kind is not OpKind.READDIR:
+        if kind is not READDIR:
             frag_map = self.frag_maps.get(dir_path)
             if frag_map:
-                if not frag_map[0][0]:
+                bits = frag_map[0][0]
+                if not bits:
                     # One unsplit frag (0 bits) holds every name.
                     return frag_map[0][2]
                 hashed = name_hash(leaf)
+                # The frags partition the hash space, so exactly one holds
+                # the name.  After a uniform split the map lists them by
+                # value: try that slot before scanning.
+                value = hashed & ((1 << bits) - 1)
+                if value < len(frag_map):
+                    entry = frag_map[value]
+                    if entry[0] == bits and entry[1] == value:
+                        return entry[2]
                 for bits, value, rank in frag_map:
                     if (hashed & ((1 << bits) - 1)) == value:
                         return rank
@@ -203,11 +232,6 @@ class Client:
             if prefix == "/":
                 return 0
             prefix = prefix[:prefix.rindex("/")] or "/"
-
-    def _learn(self, req: MetaRequest, reply: MetaReply) -> None:
-        self.mds_map[req.dir_path] = reply.served_by
-        if reply.dir_path is not None and reply.frag_map is not None:
-            self.frag_maps[reply.dir_path] = reply.frag_map
 
 
 def build_clients(engine: SimEngine, network: Network,

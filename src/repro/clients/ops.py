@@ -32,6 +32,13 @@ class OpKind(str, Enum):
         return COUNTER_KIND[self]
 
 
+#: Module-level aliases of the members: reading a member through the enum
+#: class is a slow metaclass attribute lookup, so hot paths compare against
+#: these instead.
+CREATE, MKDIR, STAT, OPEN, READDIR, UNLINK, RENAME = (
+    OpKind.CREATE, OpKind.MKDIR, OpKind.STAT, OpKind.OPEN, OpKind.READDIR,
+    OpKind.UNLINK, OpKind.RENAME)
+
 #: Precomputed per-kind lookups; hot paths index these directly instead of
 #: going through the property descriptors.
 IS_WRITE = {
@@ -45,7 +52,8 @@ COUNTER_KIND = {
 }
 
 
-_REQ_IDS = itertools.count(1)
+#: Allocates request ids: ``next_req_id()`` is the next one.
+next_req_id = itertools.count(1).__next__
 
 
 def split_request(kind: OpKind, path: str) -> tuple[str, str]:
@@ -55,8 +63,12 @@ def split_request(kind: OpKind, path: str) -> tuple[str, str]:
     targets the leaf's parent directory, normalized and absolute
     (``("/", "")`` for the root itself).
     """
-    if kind is OpKind.READDIR:
+    if kind is READDIR:
         return path.rstrip("/") or "/", ""
+    if path[:1] == "/" and path[-1:] != "/" and "//" not in path:
+        # Normal form, as workloads generate it: split_parent's fast case.
+        head, _sep, leaf = path.rpartition("/")
+        return head or "/", leaf
     return split_parent(path)
 
 
@@ -67,7 +79,7 @@ class MetaRequest:
     kind: OpKind
     path: str
     client_id: int
-    req_id: int = field(default_factory=lambda: next(_REQ_IDS))
+    req_id: int = field(default_factory=next_req_id)
     #: Ranks that already handled (and forwarded) this request.
     hops: list[int] = field(default_factory=list)
     issued_at: float = 0.0

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..clients.ops import (COUNTER_KIND, IS_WRITE, MetaReply, MetaRequest,
-                           OpKind, split_request)
+from ..clients.ops import (COUNTER_KIND, CREATE, IS_WRITE, MKDIR, READDIR,
+                           RENAME, UNLINK, MetaReply, MetaRequest, OpKind,
+                           split_request)
 from ..config import ClusterConfig
 from ..luapolicy.errors import LuaError
 from ..metrics.collectors import ClusterMetrics, MdsMetrics
@@ -149,14 +150,17 @@ class MdsServer:
         _tree, _auth, parent, _leaf, frag = self._resolve(req)
         if parent is None or frag.authority() != self.rank:
             return self._forward_service.sample(self.rng)
-        base = self._service[req.kind].sample(self.rng)
-        if req.kind is OpKind.READDIR:
+        kind = req.kind
+        base = self._service[kind].sample(self.rng)
+        if kind is READDIR:
             # Service scales gently with directory size.
             entries = parent.entry_count()
             base *= 1.0 + min(8.0, entries / 20_000.0)
-        spread = parent.effective_spread()
-        if spread > 1.0 and IS_WRITE[req.kind]:
-            base *= 1.0 + self.config.sync_penalty * (spread - 1.0) ** 0.5
+        elif IS_WRITE[kind]:
+            spread = parent.effective_spread()
+            if spread > 1.0:
+                base *= (1.0 + self.config.sync_penalty
+                         * (spread - 1.0) ** 0.5)
         return base
 
     def _resolve(self, req: MetaRequest) -> tuple:
@@ -232,15 +236,9 @@ class MdsServer:
         now = self.engine.now
         rank = self.rank
         self.sessions.record_request(req.client_id, parent.path(), now)
-        # Mark this rank active along the path: active ranks take part in
-        # each ancestor's coherency and keep their replicas fresh.
-        node = parent
-        while node is not None:
-            node.server_activity[rank] = now
-            node = node.parent
-        needs_fetch, remote_prefixes = self._touch_cache(parent)
+        needs_fetch, remote_prefixes = self._touch_path(parent, now)
         delay = 0.0
-        if needs_fetch and parent.authority() != self.rank:
+        if needs_fetch and parent.authority() != rank:
             # The directory inode's authority is elsewhere: refresh the
             # replica from the authoritative MDS, not from RADOS.
             remote_prefixes += 1
@@ -267,8 +265,11 @@ class MdsServer:
             return
         self._apply(req, done, resolution)
 
-    def _touch_cache(self, directory: Directory) -> tuple[bool, int]:
-        """Touch the path prefix in the cache.
+    def _touch_path(self, directory: Directory,
+                    now: float) -> tuple[bool, int]:
+        """Walk *directory* and its ancestors once: mark this rank active
+        on each (active ranks take part in each ancestor's coherency and
+        keep their replicas fresh) and touch each inode in the cache.
 
         Returns (parent missed -> RADOS fetch needed, number of *remote*
         ancestor inodes that missed -> cross-rank prefix traversals).
@@ -278,28 +279,32 @@ class MdsServer:
         cache = self.cache
         entries = cache._entries
         rank = self.rank
+        directory.server_activity[rank] = now
         ino = directory.inode.ino
         if ino in entries:
             entries.move_to_end(ino)
-            cache.hits += 1
+            hits = 1
             missed = False
         else:
+            hits = 0
             cache.misses += 1
             cache.insert(ino)
             missed = True
         remote_misses = 0
         node = directory.parent
         while node is not None:
+            node.server_activity[rank] = now
             ino = node.inode.ino
             if ino in entries:
                 entries.move_to_end(ino)
-                cache.hits += 1
+                hits += 1
             else:
                 cache.misses += 1
                 cache.insert(ino)
                 if node.authority() != rank:
                     remote_misses += 1
             node = node.parent
+        cache.hits += hits
         return missed, remote_misses
 
     def _maybe_invalidate_replicas(self, parent: Directory) -> None:
@@ -311,6 +316,7 @@ class MdsServer:
         if self.rng.random() >= self.config.parent_inval_prob:
             return
         now = self.engine.now
+        rank = self.rank
         window = self.config.coherency_window
         node: Optional[Directory] = parent
         for _level in range(self.config.parent_inval_levels):
@@ -320,13 +326,16 @@ class MdsServer:
             # coherency protocol and keep their replica fresh (they pay
             # through the scatter-gather path instead); only passive
             # cachers go stale.
+            activity = node.server_activity
+            ino = node.inode.ino
             for peer in self.peers:
-                if peer.rank == self.rank:
+                peer_rank = peer.rank
+                if peer_rank == rank:
                     continue
-                if now - node.server_activity.get(peer.rank,
-                                                  -float("inf")) < window:
+                last_active = activity.get(peer_rank)
+                if last_active is not None and now - last_active < window:
                     continue
-                peer.cache.drop(node.inode.ino)
+                peer.cache.drop(ino)
             node = node.parent
 
     def _apply(self, req: MetaRequest, done: Completion,
@@ -346,8 +355,9 @@ class MdsServer:
         kind = req.kind
         result = None
         try:
-            if kind is OpKind.CREATE:
-                existing = (parent.lookup(leaf, frag) if leaf is not None
+            if kind is CREATE:
+                # parent.lookup(leaf, frag), inlined.
+                existing = (frag.entries.get(leaf) if leaf is not None
                             else None)
                 if existing is not None and not existing.is_dir:
                     # O_CREAT on an existing file: truncate/update in place
@@ -361,15 +371,15 @@ class MdsServer:
                     self.cache.insert(inode.ino)
                 self.journal.log("create")
                 self._maybe_store(parent, leaf, frag, now)
-            elif kind is OpKind.MKDIR:
+            elif kind is MKDIR:
                 directory = self.namespace.mkdir(req.path, now=now,
                                                  route=route)
                 self.cache.insert(directory.inode.ino)
                 self.journal.log("mkdir")
-            elif kind is OpKind.UNLINK:
+            elif kind is UNLINK:
                 self.namespace.unlink(req.path, now=now, route=route)
                 self.journal.log("unlink")
-            elif kind is OpKind.RENAME:
+            elif kind is RENAME:
                 dst = req.payload.get("dst")
                 if not dst:
                     self._reply(req, done, error="EINVAL")
@@ -390,11 +400,11 @@ class MdsServer:
                     if stall > 0:
                         self.station.submit(("rename-flush", req.path),
                                             stall, want_completion=False)
-            elif kind is OpKind.READDIR:
+            elif kind is READDIR:
                 entries = parent.readdir()
                 result = len(entries)
             else:  # STAT / LOOKUP / OPEN
-                inode = (parent.lookup(leaf, frag) if leaf is not None
+                inode = (frag.entries.get(leaf) if leaf is not None
                          else parent.inode)
                 if inode is None:
                     raise FileNotFoundError(req.path)
@@ -415,18 +425,26 @@ class MdsServer:
         self.auth_load.hit(counter_kind, now)
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
-        self._maybe_fragment(parent)
+        # The rare paths are guarded here: only an unsplit directory can
+        # fragment, only a spread directory scatter-gathers, and a single
+        # rank has no replicas to invalidate.
+        if len(parent.frags) == 1:
+            self._maybe_fragment(parent)
         if IS_WRITE[kind]:
-            self._maybe_scatter_gather(parent)
-            self._maybe_invalidate_replicas(parent)
-        self._reply(req, done, result=result, parent=parent)
+            spread = parent.effective_spread()
+            if spread > 1.0:
+                self._maybe_scatter_gather(parent, spread)
+            if len(self.peers) > 1:
+                self._maybe_invalidate_replicas(parent)
+        self._reply(req, done, result, None, parent)
 
-    def _maybe_scatter_gather(self, directory: Directory) -> None:
+    def _maybe_scatter_gather(self, directory: Directory,
+                              spread: float) -> None:
         """Slave writes on a spread directory occasionally trigger a full
         scatter-gather: updates on the directory halt while stats travel to
-        the authoritative MDS and back (paper §4.1, footnote 3)."""
-        spread = directory.effective_spread()
-        if spread <= 1.0 or self.rank == directory.authority():
+        the authoritative MDS and back (paper §4.1, footnote 3).  *spread*
+        is ``directory.effective_spread()``, above 1."""
+        if self.rank == directory.authority():
             return
         probability = (self.config.scatter_gather_prob
                        * ((spread - 1.0) / 3.0) ** 2)
@@ -479,19 +497,12 @@ class MdsServer:
             dir_path = parent.path()
             frag_map = parent.frag_map()
         hops = len(req.hops)
-        reply = MetaReply(
-            req_id=req.req_id,
-            kind=req.kind,
-            path=req.path,
-            served_by=self.rank,
-            forwards=hops - 1 if hops > 1 else 0,
-            latency=self.engine.now - req.issued_at,
-            result=result,
-            error=error,
-            dst=req.payload.get("dst"),
-            dir_path=dir_path,
-            frag_map=frag_map,
-        )
+        # Positional: (req_id, kind, path, served_by, forwards, latency,
+        # result, error, dst, dir_path, frag_map).
+        reply = MetaReply(req.req_id, req.kind, req.path, self.rank,
+                          hops - 1 if hops > 1 else 0,
+                          self.engine.now - req.issued_at, result, error,
+                          req.payload.get("dst"), dir_path, frag_map)
         if not done.done:
             self.network.deliver(done.succeed, reply)
 

@@ -21,6 +21,8 @@ DEFAULT_HALF_LIFE = 5.0  # seconds; mirrors CephFS's mds_decay_halflife
 #: value unchanged to within ~7e-10 relative; skip the pow entirely.
 _MIN_DECAY_RATIO = 1e-9
 
+_pow = math.pow
+
 
 class DecayCounter:
     """A scalar that decays exponentially with the given half-life."""
@@ -76,24 +78,21 @@ class LoadCounters:
             self.counters.setdefault(kind, DecayCounter(self.half_life))
 
     def hit(self, kind: str, now: float, amount: float = 1.0) -> None:
-        counter = self.counters.get(kind)
-        if counter is None:
-            raise KeyError(f"unknown op kind {kind!r}")
         # DecayCounter.hit inlined: this runs ~6 times per simulated op
         # (frag + directory + ancestors + per-rank loads), so dropping two
         # call frames per hit is measurable.  Identical arithmetic.
+        counter = self.counters[kind]
+        value = counter._value
         last = counter._last
         if now > last:
-            value = counter._value
             if value != 0.0:
                 ratio = (now - last) / counter.half_life
                 if ratio >= _MIN_DECAY_RATIO:
-                    value *= math.pow(0.5, ratio)
+                    value *= _pow(0.5, ratio)
                     if value < 1e-12:
                         value = 0.0
-                    counter._value = value
             counter._last = now
-        counter._value += amount
+        counter._value = value + amount
 
     def get(self, kind: str, now: float) -> float:
         return self.counters[kind].get(now)

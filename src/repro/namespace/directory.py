@@ -211,8 +211,11 @@ class Directory:
         return sum(len(frag) for frag in self.frags.values())
 
     def needs_fragmentation(self) -> bool:
-        return (len(self.frags) == 1
-                and self.entry_count() >= self.split_size)
+        """True when the directory is still one frag and that frag holds
+        ``split_size`` entries; a split directory never fragments again."""
+        frags = self.frags
+        return (len(frags) == 1 and len(next(iter(frags.values())).entries)
+                >= self.split_size)
 
     def fragment(self, frag: DirFrag | None = None,
                  extra_bits: int | None = None,
@@ -238,12 +241,13 @@ class Directory:
             child.set_auth(frag.explicit_auth)
             self.frags[child_id] = child
             children.append(child)
+        # Child i holds the names whose hash has i in the bits just above
+        # the parent frag's own (FragId.split numbers them that way).
+        shift = frag.frag_id.bits
+        mask = (1 << extra_bits) - 1
         for inode in now_entries:
-            hashed = name_hash(inode.name)
-            for child in children:
-                if child.frag_id.contains(hashed):
-                    child.entries[inode.name] = inode
-                    break
+            name = inode.name
+            children[(name_hash(name) >> shift) & mask].entries[name] = inode
         # Popularity splits proportionally to the entries each child got.
         total = max(1, len(now_entries))
         for child in children:

@@ -9,10 +9,9 @@ on the wrong rank.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterator, Optional
 
-from .counters import DEFAULT_HALF_LIFE, _MIN_DECAY_RATIO
+from .counters import DEFAULT_HALF_LIFE, _MIN_DECAY_RATIO, _pow
 from .directory import DEFAULT_SPLIT_BITS, DEFAULT_SPLIT_SIZE, Directory
 from .dirfrag import DirFrag
 from .inode import Inode
@@ -114,12 +113,9 @@ class Namespace:
             raise ValueError("the root has no parent")
         return self.resolve_dir(dir_path), leaf
 
-    def _target(self, path: str, route: Optional[Route]) -> Route:
-        """``(parent, leaf, frag)`` for a mutation of *path*: the carried
-        *route* when the caller already resolved it, else resolved here
-        (frag None: the directory picks it)."""
-        if route is not None:
-            return route
+    def _target(self, path: str) -> Route:
+        """``(parent, leaf, frag)`` for a mutation of *path* that carries
+        no route (frag None: the directory picks it)."""
         parent, name = self.parent_of(path)
         return parent, name, None
 
@@ -135,9 +131,12 @@ class Namespace:
               route: Optional[Route] = None) -> Directory:
         """Create directory *path*.  *route* is its ``(parent, leaf, frag)``
         when the caller already resolved it (as in :meth:`create`)."""
-        parent, name, frag = self._target(path, route)
-        inode = Inode(name=name, is_dir=True, mode=mode, ctime=now,
-                      mtime=now, atime=now, ino=next(self._ino_counter))
+        parent, name, frag = (route if route is not None
+                             else self._target(path))
+        # Positional: (name, is_dir, ino, mode, uid, gid, size, nlink,
+        # ctime, mtime, atime).
+        inode = Inode(name, True, next(self._ino_counter), mode, 0, 0, 0, 1,
+                      now, now, now)
         directory = Directory(inode, parent, half_life=self.half_life,
                               split_size=self.split_size,
                               split_bits=self.split_bits)
@@ -168,17 +167,18 @@ class Namespace:
         the current tree and authority epochs (an MDS carries it with the
         request); without it the path is split and resolved here.
         """
-        parent, name, frag = self._target(path, route)
-        inode = Inode(name=name, is_dir=False, mode=mode, size=size,
-                      ctime=now, mtime=now, atime=now,
-                      ino=next(self._ino_counter))
+        parent, name, frag = (route if route is not None
+                             else self._target(path))
+        inode = Inode(name, False, next(self._ino_counter), mode, 0, 0, size,
+                      1, now, now, now)  # positional, as in mkdir
         parent.link(inode, frag)
         self.inode_count += 1
         return inode
 
     def unlink(self, path: str, now: float = 0.0, *,
                route: Optional[Route] = None) -> Inode:
-        parent, name, frag = self._target(path, route)
+        parent, name, frag = (route if route is not None
+                             else self._target(path))
         inode = parent.unlink(name, frag)
         self.inode_count -= 1
         if inode.is_dir:
@@ -231,26 +231,35 @@ class Namespace:
                     else next(iter(directory.frags.values())))
         # LoadCounters.hit inlined over frag + the whole ancestor chain:
         # this is the single hottest accounting loop in the simulator
-        # (3+ hits per op).  The arithmetic matches DecayCounter exactly.
-        target = frag
+        # (3+ hits per op).  Counters last hit at the same instant with the
+        # same half-life decay by the same factor, so one pow serves all of
+        # them: its arguments are exactly those each counter would use, so
+        # the values are bit-identical to DecayCounter's.
+        counter = frag.counters.counters[kind]
         node = directory
-        while target is not None:
-            counter = target.counters.counters.get(kind)
-            if counter is None:
-                raise KeyError(f"unknown op kind {kind!r}")
+        factor_key = None
+        factor = 1.0
+        # (A zero counter is decayed too: it stays exactly zero.)
+        while True:
+            value = counter._value
             last = counter._last
             if now > last:
-                value = counter._value
-                if value != 0.0:
-                    ratio = (now - last) / counter.half_life
-                    if ratio >= _MIN_DECAY_RATIO:
-                        value *= math.pow(0.5, ratio)
-                        if value < 1e-12:
-                            value = 0.0
-                        counter._value = value
+                half_life = counter.half_life
+                if factor_key != (last, half_life):
+                    factor_key = (last, half_life)
+                    ratio = (now - last) / half_life
+                    factor = (_pow(0.5, ratio)
+                              if ratio >= _MIN_DECAY_RATIO else 1.0)
+                if factor != 1.0:
+                    value *= factor
+                    if value < 1e-12:
+                        value = 0.0
                 counter._last = now
-            counter._value += amount
-            target, node = node, (node.parent if node is not None else None)
+            counter._value = value + amount
+            if node is None:
+                break
+            counter = node.counters.counters[kind]
+            node = node.parent
         return frag
 
     # -- authority queries ---------------------------------------------------

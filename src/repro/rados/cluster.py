@@ -47,7 +47,6 @@ class RadosCluster:
         placement = self.crush.placement(obj)
         done = self.engine.completion()
         pending = len(placement)
-        latest = 0.0
 
         def one_done(_completion: Completion) -> None:
             nonlocal pending
@@ -58,7 +57,6 @@ class RadosCluster:
 
         for osd_id in placement:
             self.osds[osd_id].write(obj, size).add_callback(one_done)
-        del latest
         return done
 
     def read(self, obj: str, size: int | None = None) -> Completion:

@@ -27,20 +27,25 @@ class CrushMap:
             raise ValueError("need at least one replica")
         self.num_osds = num_osds
         self.replicas = min(replicas, num_osds)
+        self._placements: dict[str, tuple[int, ...]] = {}
 
     def primary(self, obj: str) -> int:
         return _hash64(obj) % self.num_osds
 
-    def placement(self, obj: str) -> list[int]:
+    def placement(self, obj: str) -> tuple[int, ...]:
         """Ordered, distinct OSD ids for *obj* (primary first).
 
         Uses highest-random-weight (rendezvous) hashing, which is the
         textbook stand-in for straw-bucket CRUSH: stable under OSD count
-        changes for all but the re-mapped objects.
+        changes for all but the re-mapped objects.  A placement is a pure
+        function of the name, so each name is hashed once and remembered.
         """
-        scored = sorted(
-            range(self.num_osds),
-            key=lambda osd: _hash64(f"{obj}/{osd}"),
-            reverse=True,
-        )
-        return scored[: self.replicas]
+        placed = self._placements.get(obj)
+        if placed is None:
+            scored = sorted(
+                range(self.num_osds),
+                key=lambda osd: _hash64(f"{obj}/{osd}"),
+                reverse=True,
+            )
+            placed = self._placements[obj] = tuple(scored[: self.replicas])
+        return placed

@@ -7,7 +7,7 @@ Components interact through three primitives:
 * :class:`Completion` -- a one-shot future used for request/response flows,
 * :meth:`SimEngine.process` -- drive a generator that ``yield``s delays or
   :class:`Completion` objects (a lightweight simpy-style coroutine), which is
-  how closed-loop clients and multi-step migrations are written.
+  how multi-step migrations and crash recovery are written.
 
 The engine is deterministic: ties in time are broken by insertion order.
 """
@@ -26,26 +26,26 @@ class CancelledError(Exception):
 class EventHandle:
     """Handle to a scheduled callback; supports O(1) cancellation.
 
-    The heap itself stores ``(time, seq, handle)`` tuples so ordering is
-    resolved by C-level tuple comparison without calling back into Python;
-    the handle carries the payload and the cancellation flag.
+    The heap stores ``(time, seq, fn, args)`` tuples, so ordering is
+    resolved by C-level tuple comparison (``seq`` is unique, so ``fn`` is
+    never compared) and an event costs nothing beyond its tuple.  A handle
+    names its event by sequence number; cancelling puts that number in the
+    engine's cancelled set, and the run loops skip (and forget) cancelled
+    events as they pop them.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("engine", "time", "seq", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., None],
-                 args: tuple) -> None:
+    def __init__(self, engine: "SimEngine", time: float, seq: int) -> None:
+        self.engine = engine
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        if not self.cancelled:
+            self.cancelled = True
+            self.engine._cancelled.add(self.seq)
 
 
 class Completion:
@@ -204,23 +204,17 @@ class Process:
             )
 
 
-#: Compaction is considered once every this many schedules...
+#: Compaction is considered once every this many sequence numbers (one is
+#: drawn per scheduled event)...
 _COMPACT_EVERY_MASK = 0x3FFF
 #: ...and only bothers when the heap is at least this large.
 _COMPACT_MIN_HEAP = 8192
 
 
 class _PeriodicTimer:
-    """Allocation-free periodic callback: one EventHandle, re-armed in place.
+    """A periodic callback that re-arms itself after each run."""
 
-    ``engine.every`` used to build a fresh handle per tick; the heartbeat
-    loop re-arms every 10 simulated seconds on every rank, so reusing the
-    handle keeps the hot loop allocation-free.  Firing order is unchanged:
-    each re-arm consumes the next sequence number exactly as a fresh
-    ``schedule`` call would.
-    """
-
-    __slots__ = ("engine", "interval", "fn", "jitter", "stopped", "handle")
+    __slots__ = ("engine", "interval", "fn", "jitter", "stopped")
 
     def __init__(self, engine: "SimEngine", interval: float,
                  fn: Callable[[], None],
@@ -230,18 +224,13 @@ class _PeriodicTimer:
         self.fn = fn
         self.jitter = jitter
         self.stopped = False
-        self.handle: EventHandle | None = None
 
     def tick(self) -> None:
         if self.stopped:
             return
         self.fn()
         delay = self.interval + (self.jitter() if self.jitter else 0.0)
-        engine = self.engine
-        handle = self.handle
-        handle.time = engine.now + max(1e-9, delay)
-        handle.seq = next(engine._seq)
-        heappush(engine._heap, (handle.time, handle.seq, handle))
+        self.engine.schedule(max(1e-9, delay), self.tick)
 
     def stop(self) -> None:
         self.stopped = True
@@ -252,10 +241,14 @@ class SimEngine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, fn, args)`` per pending event.
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
+        #: Sequence numbers of cancelled events still in the heap (plus any
+        #: cancelled after they ran, which are never popped).  Always the
+        #: same set object: the run loops hold a local alias to it.
+        self._cancelled: set[int] = set()
         self._executed = 0
-        self._scheduled = 0
 
     # -- scheduling -----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None],
@@ -265,20 +258,11 @@ class SimEngine:
             raise ValueError(f"negative delay {delay}")
         time = self.now + delay
         seq = next(self._seq)
-        # EventHandle built without the __init__ frame: one handle per
-        # event makes this the most-allocated object in the simulator.
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = fn
-        handle.args = args
-        handle.cancelled = False
-        heappush(self._heap, (time, seq, handle))
-        self._scheduled += 1
-        if (self._scheduled & _COMPACT_EVERY_MASK) == 0 \
+        heappush(self._heap, (time, seq, fn, args))
+        if not seq & _COMPACT_EVERY_MASK \
                 and len(self._heap) >= _COMPACT_MIN_HEAP:
             self._maybe_compact()
-        return handle
+        return EventHandle(self, time, seq)
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap when cancelled entries dominate it.
@@ -290,11 +274,13 @@ class SimEngine:
         therefore results -- cannot change.
         """
         heap = self._heap
-        live = [entry for entry in heap if not entry[2].cancelled]
+        cancelled = self._cancelled
+        live = [entry for entry in heap if entry[1] not in cancelled]
         if len(live) * 2 <= len(heap):
-            # In place: run loops hold a local alias to the heap list.
+            # In place: run loops hold local aliases to the heap and set.
             heap[:] = live
             heapify(heap)
+            cancelled.clear()
 
     def schedule_at(self, time: float, fn: Callable[..., None],
                     *args: Any) -> EventHandle:
@@ -311,7 +297,7 @@ class SimEngine:
             raise ValueError("interval must be positive")
         timer = _PeriodicTimer(self, interval, fn, jitter)
         first = interval if start_after is None else start_after
-        timer.handle = self.schedule(max(0.0, first), timer.tick)
+        self.schedule(max(0.0, first), timer.tick)
         return timer.stop
 
     # -- futures & processes --------------------------------------------
@@ -330,7 +316,8 @@ class SimEngine:
     # -- execution -------------------------------------------------------
     @property
     def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        cancelled = self._cancelled
+        return sum(1 for entry in self._heap if entry[1] not in cancelled)
 
     @property
     def events_executed(self) -> int:
@@ -339,34 +326,36 @@ class SimEngine:
     def step(self) -> bool:
         """Execute the next event; returns False when the heap is empty."""
         heap = self._heap
+        cancelled = self._cancelled
         while heap:
-            when, _seq, handle = heappop(heap)
-            if handle.cancelled:
+            when, seq, fn, args = heappop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
             if when < self.now - 1e-12:  # pragma: no cover - invariant
                 raise RuntimeError("time went backwards")
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
             return True
         return False
 
     def run_until(self, time: float) -> None:
         """Run all events with timestamp <= *time*; clock ends at *time*."""
         heap = self._heap
+        cancelled = self._cancelled
         while heap:
-            entry = heap[0]
-            handle = entry[2]
-            if handle.cancelled:
+            when, seq, fn, args = heap[0]
+            if cancelled and seq in cancelled:
                 heappop(heap)
+                cancelled.discard(seq)
                 continue
-            when = entry[0]
             if when > time:
                 break
             heappop(heap)
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
         self.now = max(self.now, time)
 
     def run_before(self, time: float,
@@ -383,21 +372,21 @@ class SimEngine:
         mid-heap when its completion is done).
         """
         heap = self._heap
+        cancelled = self._cancelled
         while heap:
             if completion is not None and completion._done:
                 return
-            entry = heap[0]
-            handle = entry[2]
-            if handle.cancelled:
+            when, seq, fn, args = heap[0]
+            if cancelled and seq in cancelled:
                 heappop(heap)
+                cancelled.discard(seq)
                 continue
-            when = entry[0]
             if when >= time:
                 return
             heappop(heap)
             self.now = when
             self._executed += 1
-            handle.fn(*handle.args)
+            fn(*args)
 
     def run(self, max_events: int | None = None) -> None:
         """Run until the heap drains (or *max_events* fire)."""
@@ -413,22 +402,27 @@ class SimEngine:
                            max_events: int | None = None) -> Any:
         """Run until *completion* fires; returns its value."""
         heap = self._heap
+        cancelled = self._cancelled
         count = 0
-        while not completion._done:
-            while True:
-                if not heap:
-                    raise RuntimeError(
-                        "event heap drained before completion fired"
-                    )
-                when, _seq, handle = heappop(heap)
-                if not handle.cancelled:
-                    break
-            self.now = when
-            self._executed += 1
-            handle.fn(*handle.args)
-            count += 1
-            if max_events is not None and count >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; likely livelock"
-                )
+        try:
+            while not completion._done:
+                while True:
+                    if not heap:
+                        raise RuntimeError(
+                            "event heap drained before completion fired"
+                        )
+                    when, seq, fn, args = heappop(heap)
+                    if not cancelled or seq not in cancelled:
+                        break
+                    cancelled.discard(seq)
+                self.now = when
+                count += 1
+                fn(*args)
+                if max_events is not None and count >= max_events:
+                    raise RuntimeError(f"simulation exceeded {max_events} "
+                                       "events; likely livelock")
+        finally:
+            # The hottest loop counts in a local and books it on the way
+            # out, however it leaves.
+            self._executed += count
         return completion.value

@@ -8,13 +8,14 @@ MDS state").
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappush
 from typing import Any, Callable
 
 import numpy as np
 
 from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, Completion,
-                     EventHandle, SimEngine)
+                     SimEngine)
 
 #: Jitter samples drawn per vectorized RNG call.
 _JITTER_BATCH = 1024
@@ -35,35 +36,33 @@ class Network:
         # this class and only with these (mu, sigma), and numpy's Generator
         # yields the same draw sequence for one size=N call as for N scalar
         # calls -- so refilling a batch preserves the exact delay sequence.
-        self._jitter_buf: list[float] = []
-        self._jitter_idx = 0
-        # The lognormal parameters only depend on the configuration; one
-        # log/sqrt at construction instead of two logs + a sqrt per message.
+        # ``_next_delay()`` returns the next one-way latency and raises
+        # StopIteration when the batch is spent; without jitter it repeats
+        # the base latency forever.  The lognormal parameters only depend
+        # on the configuration; one log/sqrt at construction instead of two
+        # logs + a sqrt per message.
         if self.jitter_cv > 0:
             sigma2 = np.log(1.0 + self.jitter_cv ** 2)
             self._mu = np.log(self.base_latency) - sigma2 / 2.0
             self._sigma = np.sqrt(sigma2)
+            self._next_delay = iter(()).__next__
         else:
             self._mu = self._sigma = 0.0
+            self._next_delay = itertools.repeat(self.base_latency).__next__
 
     def _refill_jitter(self) -> float:
-        buf = self.rng.lognormal(self._mu, self._sigma,
-                                 size=_JITTER_BATCH).tolist()
-        self._jitter_buf = buf
-        self._jitter_idx = 1
-        return buf[0]
+        batch = iter(self.rng.lognormal(self._mu, self._sigma,
+                                        size=_JITTER_BATCH).tolist())
+        self._next_delay = batch.__next__
+        return next(batch)
 
     def one_way(self) -> float:
         """Sample one one-way latency."""
         self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            return self.base_latency
-        idx = self._jitter_idx
-        buf = self._jitter_buf
-        if idx < len(buf):
-            self._jitter_idx = idx + 1
-            return buf[idx]
-        return self._refill_jitter()
+        try:
+            return self._next_delay()
+        except StopIteration:
+            return self._refill_jitter()
 
     def deliver(self, handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one network hop."""
@@ -71,28 +70,15 @@ class Network:
         # times per metadata op, and a delay from here is never negative or
         # cancelled.  The scheduling bookkeeping matches schedule() exactly.
         self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            delay = self.base_latency
-        else:
-            idx = self._jitter_idx
-            buf = self._jitter_buf
-            if idx < len(buf):
-                self._jitter_idx = idx + 1
-                delay = buf[idx]
-            else:
-                delay = self._refill_jitter()
+        try:
+            delay = self._next_delay()
+        except StopIteration:
+            delay = self._refill_jitter()
         engine = self.engine
         time = engine.now + delay
         seq = next(engine._seq)
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = handler
-        handle.args = args
-        handle.cancelled = False
-        heappush(engine._heap, (time, seq, handle))
-        engine._scheduled += 1
-        if (engine._scheduled & _COMPACT_EVERY_MASK) == 0 \
+        heappush(engine._heap, (time, seq, handler, args))
+        if not seq & _COMPACT_EVERY_MASK \
                 and len(engine._heap) >= _COMPACT_MIN_HEAP:
             engine._maybe_compact()
 
@@ -100,16 +86,10 @@ class Network:
                       handler: Callable[..., None], *args: Any) -> None:
         """Invoke *handler(args)* after one hop plus *extra_delay*."""
         self.messages_sent += 1
-        if self.jitter_cv <= 0:
-            delay = self.base_latency
-        else:
-            idx = self._jitter_idx
-            buf = self._jitter_buf
-            if idx < len(buf):
-                self._jitter_idx = idx + 1
-                delay = buf[idx]
-            else:
-                delay = self._refill_jitter()
+        try:
+            delay = self._next_delay()
+        except StopIteration:
+            delay = self._refill_jitter()
         self.engine.schedule(delay + extra_delay, handler, *args)
 
     def request(self, handler: Callable[[Completion], None]) -> Completion:

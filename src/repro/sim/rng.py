@@ -105,7 +105,8 @@ class ServiceTime:
     def sample(self, rng: np.random.Generator) -> float:
         if self._sigma == 0.0:
             return self.mean
-        return float(rng.lognormal(self._mu, self._sigma))
+        # A scalar draw is already a Python float.
+        return rng.lognormal(self._mu, self._sigma)
 
     def scaled(self, factor: float) -> "ServiceTime":
         """A distribution with the mean scaled by *factor* (same CV)."""

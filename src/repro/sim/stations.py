@@ -15,21 +15,26 @@ from typing import Any, Callable
 import numpy as np
 
 from .engine import (_COMPACT_EVERY_MASK, _COMPACT_MIN_HEAP, Completion,
-                     EventHandle, SimEngine)
+                     SimEngine)
 from .rng import ServiceTime
 
 
 class Job:
-    """One queued unit of work."""
+    """One unit of work: queued, then in service until its finish event."""
 
-    __slots__ = ("payload", "service", "completion", "enqueued_at")
+    __slots__ = ("payload", "service", "completion", "enqueued_at",
+                 "started_at", "seq")
 
     def __init__(self, payload: Any, service: float,
-                 completion: Completion, enqueued_at: float) -> None:
+                 completion: Completion | None, enqueued_at: float) -> None:
         self.payload = payload
         self.service = service
         self.completion = completion
         self.enqueued_at = enqueued_at
+        #: Set when service starts: the start time, and the sequence number
+        #: of the finish event (its handle: ``drain`` cancels through it).
+        self.started_at = 0.0
+        self.seq = -1
 
 
 class FifoStation:
@@ -55,13 +60,13 @@ class FifoStation:
         self._queue: deque[Job] = deque()
         self._busy_servers = 0
         self._paused = False
-        self._in_service: dict[int, tuple[Job, "EventHandle"]] = {}
+        #: Jobs in service, in the order they started.
+        self._in_service: list[Job] = []
         # Accounting.
         self.busy_time = 0.0
         self.jobs_done = 0
         self.total_wait = 0.0
         self.total_service = 0.0
-        self._busy_since: dict[int, float] = {}
         self._last_window_mark = 0.0
         self._window_busy = 0.0
 
@@ -84,8 +89,8 @@ class FifoStation:
         window = now - self._last_window_mark
         busy = self._window_busy
         # Add partial busy time of still-running jobs.
-        for since in self._busy_since.values():
-            busy += now - max(since, self._last_window_mark)
+        for job in self._in_service:
+            busy += now - max(job.started_at, self._last_window_mark)
         self._last_window_mark = now
         self._window_busy = 0.0
         if window <= 0:
@@ -112,15 +117,14 @@ class FifoStation:
         cancel each one.  Returns the abandoned jobs, in-service first.
         """
         now = self.engine.now
-        abandoned: list[Job] = []
-        for slot, (job, handle) in list(self._in_service.items()):
-            handle.cancel()
-            started = self._busy_since.pop(slot)
-            span = now - started
-            self.busy_time += span
+        cancelled = self.engine._cancelled
+        abandoned = self._in_service
+        self._in_service = []
+        for job in abandoned:
+            cancelled.add(job.seq)
+            started = job.started_at
+            self.busy_time += now - started
             self._window_busy += now - max(started, self._last_window_mark)
-            abandoned.append(job)
-        self._in_service.clear()
         self._busy_servers = 0
         abandoned.extend(self._queue)
         self._queue.clear()
@@ -137,16 +141,25 @@ class FifoStation:
         request intake and background flushes) pass ``want_completion=False``
         to skip allocating it -- one Completion per metadata op otherwise.
         """
-        if isinstance(service, ServiceTime):
+        if type(service) is float:  # the MDS request path
+            service_time = service
+        elif isinstance(service, ServiceTime):
             service_time = service.sample(self.rng)
         elif service is None:
             raise ValueError("service time required")
         else:
             service_time = float(service)
-        completion = self.engine.completion() if want_completion else None
+        completion = Completion(self.engine) if want_completion else None
         job = Job(payload, service_time, completion, self.engine.now)
-        self._queue.append(job)
-        self._dispatch()
+        if self._paused or self._busy_servers >= self.servers:
+            self._queue.append(job)
+        elif self._queue:
+            # A server freed mid-event (inside an executor): the queue
+            # head starts first, exactly as a dispatch would.
+            self._queue.append(job)
+            self._dispatch()
+        else:
+            self._start(job)  # idle: straight into service
         return completion
 
     # -- internals ---------------------------------------------------------
@@ -160,33 +173,25 @@ class FifoStation:
         engine = self.engine
         now = engine.now
         self._busy_servers += 1
-        slot = id(job)
-        self._busy_since[slot] = now
+        job.started_at = now
+        self._in_service.append(job)
         self.total_wait += now - job.enqueued_at
         # engine.schedule() inlined (service times are never negative);
         # the bookkeeping matches schedule() exactly.
-        time = now + job.service
-        seq = next(engine._seq)
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.seq = seq
-        handle.fn = self._finish
-        handle.args = (job, slot)
-        handle.cancelled = False
-        heappush(engine._heap, (time, seq, handle))
-        engine._scheduled += 1
-        if (engine._scheduled & _COMPACT_EVERY_MASK) == 0 \
+        seq = job.seq = next(engine._seq)
+        heappush(engine._heap, (now + job.service, seq, self._finish, (job,)))
+        if not seq & _COMPACT_EVERY_MASK \
                 and len(engine._heap) >= _COMPACT_MIN_HEAP:
             engine._maybe_compact()
-        self._in_service[slot] = (job, handle)
 
-    def _finish(self, job: Job, slot: int) -> None:
-        self._in_service.pop(slot, None)
-        started = self._busy_since.pop(slot)
-        span = self.engine.now - started
+    def _finish(self, job: Job) -> None:
+        self._in_service.remove(job)
+        now = self.engine.now
+        started = job.started_at
+        span = now - started
         self.busy_time += span
-        self._window_busy += self.engine.now - max(started,
-                                                   self._last_window_mark)
+        mark = self._last_window_mark
+        self._window_busy += now - (mark if mark > started else started)
         self.total_service += span
         self.jobs_done += 1
         self._busy_servers -= 1
@@ -196,6 +201,8 @@ class FifoStation:
         completion = job.completion
         if completion is not None and not completion._done:
             completion.succeed(result)
-        if self._queue and not self._paused \
-                and self._busy_servers < self.servers:
-            self._dispatch()
+        # _dispatch() inlined.
+        queue = self._queue
+        while (queue and not self._paused
+               and self._busy_servers < self.servers):
+            self._start(queue.popleft())

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..clients.ops import OpKind
+from ..clients.ops import CREATE, MKDIR, OPEN, READDIR, STAT
 from ..namespace.tree import Namespace
 from .base import Workload, WorkloadOp
 
@@ -106,19 +106,19 @@ class CompileWorkload(Workload):
         dirs = self.tree_dirs()
 
         # Phase 1: untar -- a depth-first sweep of mkdirs and creates.
-        yield (OpKind.MKDIR, root)
+        yield (MKDIR, root)
         seen_tops: set[str] = set()
         source_files: list[tuple[str, float]] = []  # (path, weight)
         for rel, files, weight in dirs:
             top = rel.split("/")[0]
             if top not in seen_tops:
                 seen_tops.add(top)
-                yield (OpKind.MKDIR, f"{root}/{top}")
-            yield (OpKind.MKDIR, f"{root}/{rel}")
+                yield (MKDIR, f"{root}/{top}")
+            yield (MKDIR, f"{root}/{rel}")
             for index in range(files):
                 path = f"{root}/{rel}/src{index:03d}.c"
                 source_files.append((path, weight))
-                yield (OpKind.CREATE, path)
+                yield (CREATE, path)
 
         # Phase 2: compile -- weighted hot-spot traffic.
         weights = np.asarray([w for _p, w in source_files], dtype=float)
@@ -133,14 +133,14 @@ class CompileWorkload(Workload):
             for _ in range(2):
                 hdir = header_dirs[int(rng.integers(len(header_dirs)))] \
                     if header_dirs else "include"
-                yield (OpKind.STAT,
+                yield (STAT,
                        f"{root}/{hdir}/src{int(rng.integers(4)):03d}.c")
-            yield (OpKind.OPEN, path)
-            yield (OpKind.CREATE, path.replace(".c", f".o{unit % 7}"))
+            yield (OPEN, path)
+            yield (CREATE, path.replace(".c", f".o{unit % 7}"))
 
         # Phase 3: link -- the readdir flash crowd (the linker sweeps the
         # object directories repeatedly).
         for _sweep in range(self.link_passes):
             for rel, _files, _weight in dirs:
-                yield (OpKind.READDIR, f"{root}/{rel}")
-        yield (OpKind.CREATE, f"{root}/vmlinux")
+                yield (READDIR, f"{root}/{rel}")
+        yield (CREATE, f"{root}/vmlinux")

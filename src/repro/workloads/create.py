@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..clients.ops import OpKind
+from ..clients.ops import CREATE, MKDIR, STAT
 from ..namespace.tree import Namespace
 from .base import Workload, WorkloadOp
 
@@ -58,12 +58,12 @@ class CreateWorkload(Workload):
     def client_ops(self, client_id: int) -> Iterator[WorkloadOp]:
         directory = self.target_dir(client_id)
         if not self.shared_dir:
-            yield (OpKind.MKDIR, directory)
+            yield (MKDIR, directory)
         for index in range(self.files_per_client):
             path = f"{directory}/f{client_id}_{index:07d}"
-            yield (OpKind.CREATE, path)
+            yield (CREATE, path)
             if self.stat_every and (index + 1) % self.stat_every == 0:
-                yield (OpKind.STAT, path)
+                yield (STAT, path)
 
     def total_ops(self) -> int:
         per_client = self.files_per_client

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..clients.ops import OpKind
+from ..clients.ops import CREATE, STAT, OpKind
 from ..namespace.tree import Namespace
 from .base import Workload, WorkloadOp
 
@@ -74,11 +74,11 @@ class ZipfWorkload(Workload):
         for op_index in range(self.ops_per_client):
             index = int(choices[op_index])
             if writes[op_index]:
-                yield (OpKind.CREATE,
+                yield (CREATE,
                        f"{self.base}/d{index % self.num_dirs:03d}/"
                        f"new{client_id}_{op_index:07d}")
             else:
-                yield (OpKind.STAT, self._file_path(index))
+                yield (STAT, self._file_path(index))
 
     def total_ops(self) -> int:
         return self.ops_per_client * self.num_clients
