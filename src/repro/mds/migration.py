@@ -124,7 +124,8 @@ class Migrator:
 
     Exports can be *aborted* mid-flight (a fault, or the importer dying):
     the process is interrupted and the abort is resolved by the commit
-    point of the two-phase commit.  Before ``EImport`` is durable in the
+    point of the two-phase commit.  An export whose importer is already
+    down when it starts aborts at once.  Before ``EImport`` is durable in the
     importer's journal the export rolls back -- every frag is unfrozen and
     authority stays with the exporter.  After it, the export rolls forward
     -- authority flips to the importer even though the finish event was
@@ -204,6 +205,13 @@ class Migrator:
         # until the freeze lifts).
         with frozen_scope(unit):
             try:
+                if not importer.alive:
+                    # The balancer acted on a heartbeat table that has not
+                    # evicted the dead rank yet.  The importer never
+                    # answers the export prep: roll back before anything
+                    # is flushed or logged.
+                    raise MigrationAborted(f"importer mds{target_rank} "
+                                           "is down")
                 # Session flushes: every session with caps under the unit,
                 # at both exporter and importer, pays a flush (§4.1).
                 record.phase = "sessions"

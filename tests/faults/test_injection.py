@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimulatedCluster, run_experiment
+from repro.config import ClusterConfig
 from repro.core.api import MantlePolicy
 from repro.core.policies import greedy_spill_policy, original_policy
 from repro.faults import (
@@ -48,6 +49,42 @@ class TestCrashAndTakeover:
         assert "crash" in kinds and "takeover" in kinds
         # After takeover every subtree is owned by the survivor.
         assert report.metrics.mds(0).crashes == 1
+
+    def test_takeover_completes_after_exports_to_the_dead_rank(self):
+        """Rank 1's balancer picks the crashed rank 2 as importer before
+        the beacon grace evicts it from its heartbeat table.  Those
+        exports must roll back; committing them after the takeover would
+        leave dirfrags authored by a dead rank and clients waiting on it
+        forever."""
+        faults = FaultSchedule([
+            DegradeCpu(at=0.3, rank=0, factor=2.0, duration=0.6),
+            CrashMds(at=1.0, rank=2, takeover_by=0, takeover_after=0.4),
+        ])
+        config = ClusterConfig(num_mds=3, num_clients=3, seed=13,
+                               heartbeat_interval=0.25, dir_split_size=300,
+                               mds_beacon_grace=0.6)
+        cluster = SimulatedCluster(config, policy=greedy_spill_policy(),
+                                   fault_schedule=faults)
+        report = cluster.run_workload(
+            CreateWorkload(num_clients=3, files_per_client=1500,
+                           shared_dir=True), max_time=60.0)
+        assert report.total_ops == 4500
+        takeover = next(e for e in report.fault_events
+                        if e.kind == "takeover")
+        exports_to_dead = [
+            (d.time, path) for d in report.decisions
+            if d.time > 1.0 for path, _load, rank in d.exports if rank == 2
+        ]
+        assert exports_to_dead, "the balancer no longer targets mds2"
+        assert cluster.metrics.mds(1).migrations_aborted >= len(
+            exports_to_dead)
+        assert not cluster.mdss[2].alive
+        for directory in cluster.namespace.root.walk():
+            assert directory.authority() != 2, directory.path()
+            for frag in directory.frags.values():
+                assert frag.authority() != 2, frag.path()
+        assert takeover.time < report.makespan
+        assert check_invariants(cluster) == []
 
     def test_recovery_time_from_takeover(self):
         config = make_config(num_mds=2, mds_beacon_grace=2.0)

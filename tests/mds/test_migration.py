@@ -145,6 +145,24 @@ class TestMigrator:
         assert process.completion.done
         assert reply.served_by == 1
 
+    def test_export_to_dead_importer_rolls_back(self):
+        """A balancer whose heartbeat table still lists a crashed rank may
+        pick it as importer: the export aborts before the commit point."""
+        cluster = build_cluster(num_mds=3)
+        d = cluster.namespace.resolve_dir("/d")
+        exporter = cluster.mdss[0]
+        cluster.mdss[2].crash()
+        process = exporter.migrator.export(ExportUnit(d), 2)
+        cluster.engine.run_until_complete(process.completion)
+        assert d.authority() == 0
+        assert not any(frag.frozen for frag in d.frags.values())
+        assert exporter.migrator.exports_aborted == 1
+        assert exporter.migrator.exports_completed == 0
+        assert cluster.metrics.mds(0).migrations_aborted == 1
+        assert exporter.migrator.in_flight == 0
+        # Nothing was logged for the aborted export.
+        assert exporter.journal.segments_flushed == 0
+
     def test_inodes_exported_counted(self):
         cluster = build_cluster(files=10)
         d = cluster.namespace.resolve_dir("/d")
