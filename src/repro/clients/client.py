@@ -149,6 +149,8 @@ class Client:
             return
         kind, path = op[0], op[1]
         dir_path, leaf = split_request(kind, path)
+        # Positional: (kind, path, client_id, req_id, hops, issued_at,
+        # payload, dir_path, leaf, resolution).
         req = MetaRequest(kind, path, self.client_id, next_req_id(), [],
                           self.engine.now,
                           {"dst": op[2]} if len(op) > 2

@@ -65,10 +65,6 @@ def split_request(kind: OpKind, path: str) -> tuple[str, str]:
     """
     if kind is READDIR:
         return path.rstrip("/") or "/", ""
-    if path[:1] == "/" and path[-1:] != "/" and "//" not in path:
-        # Normal form, as workloads generate it: split_parent's fast case.
-        head, _sep, leaf = path.rpartition("/")
-        return head or "/", leaf
     return split_parent(path)
 
 

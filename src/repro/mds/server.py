@@ -425,11 +425,15 @@ class MdsServer:
         self.auth_load.hit(counter_kind, now)
         self.metrics.ops_served += 1
         self.cluster_metrics.timeline.record(self.rank, now)
-        # The rare paths are guarded here: only an unsplit directory can
-        # fragment, only a spread directory scatter-gathers, and a single
-        # rank has no replicas to invalidate.
-        if len(parent.frags) == 1:
-            self._maybe_fragment(parent)
+        # The rare paths are guarded here: a directory fragments once, only
+        # a spread directory scatter-gathers, and a single rank has no
+        # replicas to invalidate.
+        if parent.needs_fragmentation():
+            parent.fragment(now=now)
+            self.metrics.fragmentations += 1
+            # Fragmentation is real work on this CPU.
+            self.station.submit(("fragment", parent.path()), 0.001,
+                                want_completion=False)
         if IS_WRITE[kind]:
             spread = parent.effective_spread()
             if spread > 1.0:
@@ -479,14 +483,6 @@ class MdsServer:
             self.rados.write(obj, self.config.dir_object_bytes)
         else:
             self._stores_pending[key] = count
-
-    def _maybe_fragment(self, directory: Directory) -> None:
-        if directory.needs_fragmentation():
-            directory.fragment(now=self.engine.now)
-            self.metrics.fragmentations += 1
-            # Fragmentation is real work on this CPU.
-            self.station.submit(("fragment", directory.path()), 0.001,
-                                want_completion=False)
 
     def _reply(self, req: MetaRequest, done: Completion,
                result=None, error: Optional[str] = None,

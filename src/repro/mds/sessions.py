@@ -47,9 +47,7 @@ class SessionTable:
 
     def record_request(self, client_id: int, dir_path: str,
                        now: float) -> Session:
-        session = self._sessions.get(client_id)
-        if session is None:
-            session = self.get_or_open(client_id, now)
+        session = self.get_or_open(client_id, now)
         session.requests += 1
         session.cap_paths.add(dir_path)
         return session

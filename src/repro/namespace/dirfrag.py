@@ -110,13 +110,7 @@ class DirFrag:
         auth = self._auth
         if auth is not None:
             return auth
-        # Directory.authority()'s epoch-cache hit, inlined: most frags
-        # inherit, and this runs twice per request.
-        directory = self.directory
-        cached = directory._auth_cache
-        if cached is not None and cached[0] == _AUTH_EPOCH[0]:
-            return cached[1]
-        return directory.authority()
+        return self.directory.authority()
 
     # -- entries ------------------------------------------------------------
     def contains_name(self, name: str) -> bool:

@@ -31,10 +31,8 @@ class Job:
         self.service = service
         self.completion = completion
         self.enqueued_at = enqueued_at
-        #: Set when service starts: the start time, and the sequence number
-        #: of the finish event (its handle: ``drain`` cancels through it).
-        self.started_at = 0.0
-        self.seq = -1
+        # ``started_at`` and ``seq`` (the finish event's sequence number,
+        # its handle: ``drain`` cancels through it) are set by ``_start``.
 
 
 class FifoStation:
@@ -191,6 +189,7 @@ class FifoStation:
         span = now - started
         self.busy_time += span
         mark = self._last_window_mark
+        # max(started, mark), inlined.
         self._window_busy += now - (mark if mark > started else started)
         self.total_service += span
         self.jobs_done += 1
@@ -201,8 +200,6 @@ class FifoStation:
         completion = job.completion
         if completion is not None and not completion._done:
             completion.succeed(result)
-        # _dispatch() inlined.
-        queue = self._queue
-        while (queue and not self._paused
-               and self._busy_servers < self.servers):
-            self._start(queue.popleft())
+        if self._queue and not self._paused \
+                and self._busy_servers < self.servers:
+            self._dispatch()
