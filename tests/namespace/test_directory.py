@@ -3,6 +3,7 @@
 import pytest
 
 from repro.namespace.directory import Directory
+from repro.namespace.dirfrag import name_hash
 from repro.namespace.inode import Inode
 
 
@@ -70,6 +71,25 @@ class TestFragmentation:
             root.link(Inode(name=f"f{i}", is_dir=False))
         root.fragment()
         assert len(root.frags) == 8
+
+    def test_fragment_places_entries_like_a_contains_scan(self):
+        """Entries go to the child whose FragId contains their hash, in
+        the parent's order -- also when splitting an already split frag."""
+        root = make_root(split_bits=2)
+        for i in range(200):
+            root.link(Inode(name=f"f{i}", is_dir=False))
+        for extra_bits in (2, 3):
+            frag = max(root.frags.values(), key=len)
+            names = list(frag.entries)
+            children = root.fragment(frag, extra_bits=extra_bits)
+            expected = {child.frag_id: [] for child in children}
+            for name in names:
+                home = next(child for child in children
+                            if child.frag_id.contains(name_hash(name)))
+                expected[home.frag_id].append(name)
+            assert {child.frag_id: list(child.entries)
+                    for child in children} == expected
+        assert root.entry_count() == 200
 
     def test_fragment_preserves_entries(self):
         root = make_root()

@@ -95,6 +95,50 @@ class TestAccounting:
         assert a.counters.get("IWR", 0.0) == pytest.approx(1.0)
         assert namespace.root.counters.get("IWR", 0.0) == pytest.approx(1.0)
 
+    def test_record_hit_matches_per_counter_decay(self):
+        """One pow shared across the chain equals DecayCounter.hit on each
+        counter, bit for bit, also when the levels were last hit at
+        different times."""
+
+        def build():
+            namespace = Namespace(half_life=3.0, split_size=8, split_bits=2)
+            d = namespace.mkdirs("/a/b")
+            for i in range(16):
+                namespace.create(f"/a/b/f{i}")
+            d.fragment()
+            return namespace, d
+
+        namespace, d = build()
+        twin, twin_d = build()
+        twin_a = twin.resolve_dir("/a")
+        now = 0.0
+        for i in range(300):
+            now += 0.05 + (i % 7) * 0.13
+            kind = ("IWR", "IRD", "READDIR")[i % 3]
+            name = f"f{i % 16}"
+            if i % 5 == 0:
+                # Only /a and above: its counters drift from /a/b's.
+                namespace.record_hit(namespace.resolve_dir("/a"), None,
+                                     kind, now)
+                chain = [twin_a.frags[next(iter(twin_a.frags))], twin_a,
+                         twin.root]
+            else:
+                namespace.record_hit(d, name, kind, now, amount=1.5)
+                chain = [twin_d.frag_for_name(name), twin_d, twin_a,
+                         twin.root]
+            for node in chain:
+                node.counters.counters[kind].hit(
+                    now, 1.0 if i % 5 == 0 else 1.5)
+        for path in ("/", "/a", "/a/b"):
+            mine = namespace.resolve_dir(path)
+            ref = twin.resolve_dir(path)
+            for unit, ref_unit in [(mine, ref), *zip(mine.frags.values(),
+                                                     ref.frags.values())]:
+                for kind, counter in unit.counters.counters.items():
+                    expected = ref_unit.counters.counters[kind]
+                    assert (counter._value, counter._last) == (
+                        expected._value, expected._last), (path, kind)
+
     def test_record_hit_lands_in_right_frag(self):
         namespace = Namespace(split_size=4, split_bits=2)
         d = namespace.mkdirs("/d")
